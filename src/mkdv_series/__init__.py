@@ -46,6 +46,7 @@ from .oracle import (
     cumulative_simpson,
     invariant_drift,
     oracle_rhs,
+    oracle_rhs_grid,
     oracle_solve,
     oracle_solve_increment,
     picard_iterate,

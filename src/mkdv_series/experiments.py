@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .indexer import build_assignment
-from .oracle import OracleConfig, invariant_drift, oracle_solve, oracle_solve_increment, picard_iterate
+from .oracle import OracleConfig, invariant_drift, oracle_solve, oracle_solve_increment, picard_iterate, rhs_route
 from .ops import integral_bound, integral_exact, kernel_norm_scan, parity_bound
 from .series import SeriesConfig, ode_residual, radius_certificate, solve_series
 from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, random_real_field, truncate_modes, weighted_norm
@@ -121,6 +121,9 @@ def load_initial_data(source: str, N: int) -> CoeffSeq:
 
 # ---------------------------------------------------------------------------
 # experiment implementations
+#
+# Each pops its parameters from ``params`` and returns the leftover
+# parameters, its assertion rows and any extra manifest fields.
 # ---------------------------------------------------------------------------
 
 
@@ -170,7 +173,7 @@ def _exp_convergence(params, out, seed, jobs):
             )
         (out / f"solution_R{R}.json").write_text(json.dumps(sol.to_json_dict(), sort_keys=True))
     _csv(out / "convergence.csv", ["R", "k", "t", "term_norm", "envelope", "ratio"], rows)
-    return params, assertions
+    return params, assertions, {}
 
 
 def _lemma_tree_task(args):
@@ -236,7 +239,7 @@ def _exp_lemma_bound(params, out, seed, jobs):
         _assert_row("all integral/bound ratios <= 1", worst, 1.0, worst <= 1.0),
         _assert_row("all integral/parity-bound ratios <= 1", worst_parity, 1.0, worst_parity <= 1.0),
     ]
-    return params, assertions
+    return params, assertions, {}
 
 
 def _kernel_task(args):
@@ -276,7 +279,7 @@ def _exp_kernel_norms(params, out, seed, jobs):
         assertions.append(
             _assert_row("norm growth over scan >= growth_min", g, float(growth_min), g >= float(growth_min))
         )
-    return params, assertions
+    return params, assertions, {}
 
 
 def _exp_oracle_compare(params, out, seed, jobs):
@@ -322,7 +325,7 @@ def _exp_oracle_compare(params, out, seed, jobs):
         )
     _csv(out / "oracle_compare.csv", ["t", "sup_mode_error"], rows)
     (out / "solution.json").write_text(json.dumps(sol.to_json_dict(), sort_keys=True))
-    return params, assertions
+    return params, assertions, {"oracle": rhs_route(N)}
 
 
 def _exp_gauge_check(params, out, seed, jobs):
@@ -346,10 +349,11 @@ def _exp_gauge_check(params, out, seed, jobs):
     err = float(np.max(np.abs(final.values - plain.values[-1])))
     _csv(out / "gauge_check.csv", ["t", "sup_mode_error"], rows)
     drift = max(invariant_drift(mod), invariant_drift(plain))
-    return params, [
+    assertions = [
         _assert_row("gauge-equivalence sup-mode error <= tol", err, tol, err <= tol),
         _assert_row("mass drift both flows <= 1e-8", drift, 1e-8, drift <= 1e-8),
     ]
+    return params, assertions, {"oracle": rhs_route(N)}
 
 
 def _exp_residual(params, out, seed, jobs):
@@ -373,10 +377,11 @@ def _exp_residual(params, out, seed, jobs):
         final_res = r
     _csv(out / "residual.csv", ["K", "residual"], rows)
     decreasing = all(b < a for (_, a), (_, b) in zip(rows, rows[1:]))
-    return params, [
+    assertions = [
         _assert_row(f"residual at K={K} <= tol", final_res, tol, final_res <= tol),
         _assert_row("residual decreases with K", float(decreasing), 1.0, decreasing),
     ]
+    return params, assertions, {}
 
 
 _EXPERIMENTS = {
@@ -423,7 +428,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, jobs: int = 1, seed: int 
     params = dict(spec.params)
     start = time.time()
     try:
-        leftover, assertions = _EXPERIMENTS[spec.kind](params, out, seed, jobs)
+        leftover, assertions, fields = _EXPERIMENTS[spec.kind](params, out, seed, jobs)
     except ExperimentError as exc:
         logger.error("bad experiment spec: %s", exc)
         return EXIT_BAD_SPEC
@@ -444,6 +449,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, jobs: int = 1, seed: int 
         "wall_time_s": time.time() - start,
         "assertions": assertions,
         "pass": ok,
+        **fields,
     }
     try:
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))

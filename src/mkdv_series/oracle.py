@@ -14,34 +14,55 @@ convolution.  All convolution sums are restricted to modes in [-N, N]
 projected internal modes expands; series-versus-oracle comparisons
 therefore have no modeling gap.
 
-The oscillatory phase e^{i sigma t} factors into per-mode cubic phases, so
-each right-hand side costs two dense convolutions instead of a triple
-loop; the triple loop survives in the tests as the oracle's own oracle.
-Time stepping is classical RK4 on the rotating-frame variables with the
-phases evaluated from absolute time (no per-step phase accumulation), and
-the state update is compensated to keep round-off from random-walking
+The oscillatory phase e^{i sigma t} factors into per-mode cubic phases,
+b(n) = e^{-in^3 t} a(n), so each right-hand side is one cubic convolution
+of b (with n b as third factor in the plain flow) instead of a triple loop;
+the triple loop survives in the tests as the oracle's own oracle.  Below
+the cutoff ``_FFT_MIN_N`` = 56 the cubic convolution is two dense
+``np.convolve`` calls, O(N^2); at and above it, one zero-padded FFT of b
+(and one of n b) is cubed or multiplied and inverted, O(N log N).  The
+crossover is where the two routes cost the same per right-hand side on a
+2-core Xeon with numpy 2.4: at N = 56 the FFT is ~10% faster for the
+modified flow and ~5% slower for the plain one, at N = 256 ~4.5x faster
+for both.  The padded length L is the smallest 5-smooth integer
+>= 4N + 1.  The linear convolution of three length-(2N+1) sequences has
+indices 0..6N and the kept modes |n| <= N sit at indices 2N..4N; a
+circular convolution of length L folds index j >= L onto j - L <= 6N - L,
+which stays below 2N, and so off the kept modes, exactly when L >= 4N + 1.
+
+Time stepping is classical RK4 on the rotating-frame increment
+y(t) = a(t) - a(0), with the phases evaluated from absolute time (no
+per-step phase accumulation) once per distinct stage time, and the
+increment update is compensated to keep round-off from random-walking
 across long runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import CoeffSeq, l2_mass
+from .spectral import CoeffSeq
 
 __all__ = [
     "OracleConfig",
     "Trajectory",
     "oracle_rhs",
+    "oracle_rhs_grid",
+    "rhs_route",
     "oracle_solve",
+    "oracle_solve_increment",
     "invariant_drift",
     "picard_iterate",
     "cumulative_simpson",
+    "uniform_spacing",
 ]
 
 _EQUATIONS = ("modified_mkdv", "mkdv")
+# cutoff at and above which the cubic convolution goes through the FFT
+_FFT_MIN_N = 56
 
 
 @dataclass(frozen=True)
@@ -90,34 +111,91 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _rhs_arrays(values: np.ndarray, t: float, N: int, equation: str) -> np.ndarray:
-    modes = np.arange(-N, N + 1)
-    cubes = modes.astype(float) ** 3
-    ph = np.exp(-1j * cubes * t)          # e^{-in^3 t}
+@functools.lru_cache(maxsize=64)
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n."""
+    L = n
+    while True:
+        m = L
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return L
+        L += 1
+
+
+def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """sum_{n1+n2+n3=n} b(n1) b(n2) c(n3) for the kept modes |n| <= N,
+    along the last axis; c defaults to b (the plain cube)."""
+    N = (b.shape[-1] - 1) // 2
+    if N < _FFT_MIN_N:
+        if c is None:
+            c = b
+        if b.ndim == 1:
+            return np.convolve(np.convolve(b, b), c)[2 * N : 4 * N + 1]
+        return np.stack([np.convolve(np.convolve(r, r), s)[2 * N : 4 * N + 1] for r, s in zip(b, c)])
+    L = _fft_length(4 * N + 1)
+    fb = np.fft.fft(b, L)
+    fc = fb if c is None else np.fft.fft(c, L)
+    return np.fft.ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
+
+
+def _rhs(values: np.ndarray, ph: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
+    """Right-hand side along the last axis, given the phases e^{-in^3 t}."""
+    phc = np.conj(ph)
     b = ph * values                        # frame-unrotated coefficients
     if equation == "mkdv":
-        conv = np.convolve(np.convolve(b, b), modes * b)
-        full = conv[2 * N : 4 * N + 1]
-        return -1j * np.conj(ph) * full
-    # mean-subtracted flow: symmetrized star sum plus the resonant diagonal
-    conv3 = np.convolve(np.convolve(b, b), b)[2 * N : 4 * N + 1]
-    pair_mass = np.dot(b, b[::-1])         # sum_k b(k) b(-k)
-    star = conv3 - 3.0 * b * pair_mass + 3.0 * b**2 * b[::-1]
-    star[N] -= b[N] ** 3                   # triple overlap exists only at n=0
-    resonant = 1j * modes * values * values[::-1] * values
-    return (-1j / 3.0) * modes * np.conj(ph) * star + resonant
+        return -1j * phc * _cubic_conv(b, modes * b)
+    # mean-subtracted flow: the star sum drops the triples with some n_j = n
+    # by inclusion-exclusion, 3 b(n) sum_k b(k) b(-k) less the 3 b(n)^2 b(-n)
+    # counted twice; the triple overlap b(0)^3 at n = 0 is left in because
+    # the weight -in/3 vanishes there.  Plus the resonant diagonal.
+    rev = b[..., ::-1]
+    pair = b * rev                         # b(k) b(-k)
+    star = _cubic_conv(b) - 3.0 * b * (pair.sum(axis=-1, keepdims=True) - pair)
+    resonant = 1j * modes * values * values[..., ::-1] * values
+    return (-1j / 3.0) * modes * phc * star + resonant
+
+
+def _modes(N: int) -> tuple[np.ndarray, np.ndarray]:
+    modes = np.arange(-N, N + 1)
+    return modes, modes.astype(float) ** 3
+
+
+def _check_equation(equation: str) -> None:
+    if equation not in _EQUATIONS:
+        raise ValueError(f"equation must be one of {_EQUATIONS}")
 
 
 def oracle_rhs(a: CoeffSeq, equation: str = "modified_mkdv", t: float = 0.0) -> CoeffSeq:
     """Right-hand side of the rotating-frame system at absolute time t."""
-    if equation not in _EQUATIONS:
-        raise ValueError(f"equation must be one of {_EQUATIONS}")
-    return a.with_values(_rhs_arrays(a.values, t, a.cutoff, equation))
+    _check_equation(equation)
+    modes, cubes = _modes(a.cutoff)
+    return a.with_values(_rhs(a.values, np.exp(-1j * cubes * t), modes, equation))
 
 
-def oracle_solve(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
-    """Integrate the truncated system with classical RK4 over cfg.steps
-    fixed steps; requires t = steps * dt and dt below the stability guard."""
+def oracle_rhs_grid(values: np.ndarray, times: np.ndarray, equation: str = "modified_mkdv") -> np.ndarray:
+    """Right-hand side of every row of a [T, 2N+1] stack: row i holds the
+    rotating-frame coefficients (modes -N..N) at absolute time times[i]."""
+    _check_equation(equation)
+    values = np.asarray(values, dtype=np.complex128)
+    times = np.asarray(times, dtype=float)
+    if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2 == 0:
+        raise ValueError("values must be a [len(times), 2N+1] stack")
+    modes, cubes = _modes(values.shape[1] // 2)
+    return _rhs(values, np.exp(-1j * np.outer(times, cubes)), modes, equation)
+
+
+def rhs_route(N: int) -> dict:
+    """Manifest record: the cutoff N, which cubic convolution the
+    right-hand side uses there, and the crossover cutoff at which it
+    switches from direct to FFT."""
+    return {"cutoff": N, "rhs_route": "fft" if N >= _FFT_MIN_N else "direct", "fft_min_n": _FFT_MIN_N}
+
+
+def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
+    """Compensated RK4 for the increment y(t) = a(t) - a(0)."""
     if a0.cutoff != cfg.N:
         raise ValueError("initial data cutoff must match the configuration")
     if cfg.dt > cfg.dt_limit:
@@ -127,64 +205,51 @@ def oracle_solve(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
     if not np.isclose(cfg.steps * cfg.dt, t, rtol=1e-12, atol=1e-15):
         raise ValueError("t must equal steps * dt")
     N, dt, eq = cfg.N, cfg.dt, cfg.equation
-    width = 2 * N + 1
-    out = np.empty((cfg.steps + 1, width), dtype=np.complex128)
-    times = np.arange(cfg.steps + 1) * dt
-    a = a0.values.copy()
-    comp = np.zeros_like(a)                # Kahan carry for the state sum
-    out[0] = a
-    for m in range(cfg.steps):
-        tm = m * dt
-        k1 = _rhs_arrays(a, tm, N, eq)
-        k2 = _rhs_arrays(a + 0.5 * dt * k1, tm + 0.5 * dt, N, eq)
-        k3 = _rhs_arrays(a + 0.5 * dt * k2, tm + 0.5 * dt, N, eq)
-        k4 = _rhs_arrays(a + dt * k3, tm + dt, N, eq)
-        incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y = incr - comp
-        s = a + y
-        comp = (s - a) - y
-        a = s
-        out[m + 1] = a
-    return Trajectory(N, times, out)
-
-
-def oracle_solve_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
-    """Like :func:`oracle_solve`, but integrates the increment
-    y(t) = a(t) - a(0) and returns y.
-
-    Exactly equivalent in real arithmetic; in floating point the increment
-    stays on its own (small) scale instead of being quantized at the scale
-    of the initial data, which matters when comparing two solvers whose
-    difference sits near one ulp of the solution values.
-    """
-    if a0.cutoff != cfg.N:
-        raise ValueError("initial data cutoff must match the configuration")
-    if cfg.dt > cfg.dt_limit:
-        raise ValueError(
-            f"dt {cfg.dt} exceeds the stability guard {cfg.dt_limit:.3e}"
-        )
-    if not np.isclose(cfg.steps * cfg.dt, t, rtol=1e-12, atol=1e-15):
-        raise ValueError("t must equal steps * dt")
-    N, dt, eq = cfg.N, cfg.dt, cfg.equation
+    modes, cubes = _modes(N)
     base = a0.values
     out = np.empty((cfg.steps + 1, 2 * N + 1), dtype=np.complex128)
     times = np.arange(cfg.steps + 1) * dt
     y = np.zeros_like(base)
-    comp = np.zeros_like(base)
+    comp = np.zeros_like(base)             # Kahan carry for the increment sum
     out[0] = y
+    # phases at the three stage times; the end phase of step m is the start
+    # phase of step m + 1
+    ph_start = np.ones_like(base)
     for m in range(cfg.steps):
-        tm = m * dt
-        k1 = _rhs_arrays(base + y, tm, N, eq)
-        k2 = _rhs_arrays(base + (y + 0.5 * dt * k1), tm + 0.5 * dt, N, eq)
-        k3 = _rhs_arrays(base + (y + 0.5 * dt * k2), tm + 0.5 * dt, N, eq)
-        k4 = _rhs_arrays(base + (y + dt * k3), tm + dt, N, eq)
+        ph_mid = np.exp(-1j * cubes * (times[m] + 0.5 * dt))
+        ph_end = np.exp(-1j * cubes * times[m + 1])
+        k1 = _rhs(base + y, ph_start, modes, eq)
+        k2 = _rhs(base + (y + 0.5 * dt * k1), ph_mid, modes, eq)
+        k3 = _rhs(base + (y + 0.5 * dt * k2), ph_mid, modes, eq)
+        k4 = _rhs(base + (y + dt * k3), ph_end, modes, eq)
         incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yy = incr - comp
         s = y + yy
         comp = (s - y) - yy
         y = s
         out[m + 1] = y
+        ph_start = ph_end
     return Trajectory(N, times, out)
+
+
+def oracle_solve(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
+    """Integrate the truncated system with classical RK4 over cfg.steps
+    fixed steps; requires t = steps * dt and dt below the stability guard.
+    Returns the states a0 + y of :func:`oracle_solve_increment`."""
+    traj = _rk4_increment(a0, cfg, t)
+    traj.values[:] += a0.values
+    return traj
+
+
+def oracle_solve_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
+    """Like :func:`oracle_solve`, but returns the increment
+    y(t) = a(t) - a(0) itself.
+
+    The increment stays on its own (small) scale instead of being quantized
+    at the scale of the initial data, which matters when comparing two
+    solvers whose difference sits near one ulp of the solution values.
+    """
+    return _rk4_increment(a0, cfg, t)
 
 
 def invariant_drift(traj: Trajectory) -> float:
@@ -193,10 +258,6 @@ def invariant_drift(traj: Trajectory) -> float:
         raise ValueError("empty trajectory")
     mass = np.sum(np.abs(traj.values) ** 2, axis=1)
     return float(np.max(np.abs(mass - mass[0])))
-
-
-def mass_of(a: CoeffSeq) -> float:
-    return l2_mass(a)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +284,9 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _uniform_spacing(times: np.ndarray) -> float:
+def uniform_spacing(times: np.ndarray) -> float:
+    """Step of a uniform time grid; raises ValueError if the grid is not
+    uniform."""
     diffs = np.diff(times)
     if diffs.size == 0 or np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(diffs[0], 1e-30):
         raise ValueError("a uniform time grid is required")
@@ -244,12 +307,8 @@ def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int,
         raise ValueError("the grid must start at t = 0")
     if len(times) < 9:
         raise ValueError("grid too coarse: need at least 9 points")
-    dx = _uniform_spacing(times)
-    N = a0.cutoff
+    dx = uniform_spacing(times)
     traj = np.tile(a0.values, (len(times), 1))
     for _ in range(iterations):
-        rhs = np.empty_like(traj)
-        for i, t in enumerate(times):
-            rhs[i] = _rhs_arrays(traj[i], t, N, equation)
-        traj = a0.values[None, :] + cumulative_simpson(rhs, dx)
-    return Trajectory(N, times, traj)
+        traj = a0.values[None, :] + cumulative_simpson(oracle_rhs_grid(traj, times, equation), dx)
+    return Trajectory(a0.cutoff, times, traj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import _rhs_arrays, _uniform_spacing, cumulative_simpson
+from .oracle import cumulative_simpson, oracle_rhs_grid, uniform_spacing
 from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, weighted_norm
 from .trees import enumerate_trees
 from .ops import evaluate_term_table, tree_term_table
@@ -229,11 +229,8 @@ def ode_residual(
         raise ValueError("grid too coarse for the residual: need >= 9 points")
     if times[0] != 0.0:
         raise ValueError("residual grid must start at t = 0")
-    dx = _uniform_spacing(times)
-    eq = equation or sol.equation
-    rhs = np.empty((len(times), 2 * cfg.N + 1), dtype=np.complex128)
-    for i, t in enumerate(times):
-        rhs[i] = _rhs_arrays(sol.coeffs[i].values, t, cfg.N, eq)
-    integral = cumulative_simpson(rhs, dx)
-    defect = np.stack([c.values for c in sol.coeffs]) - a0.values[None, :] - integral
+    dx = uniform_spacing(times)
+    states = np.stack([c.values for c in sol.coeffs])
+    integral = cumulative_simpson(oracle_rhs_grid(states, times, equation or sol.equation), dx)
+    defect = states - a0.values[None, :] - integral
     return float(np.max(np.abs(defect)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mkdv_series import NormIndex, weighted_norm
+from mkdv_series import NormIndex, oracle, weighted_norm
 from mkdv_series.experiments import (
     EXIT_ASSERTION,
     EXIT_BAD_SPEC,
@@ -192,3 +192,16 @@ def test_gauge_check_small(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     value = [a for a in manifest["assertions"] if "gauge" in a["name"]][0]["value"]
     assert value < 1e-10  # recorded measured value, far below tolerance
+
+
+@pytest.mark.parametrize(
+    "kind, params, route",
+    [
+        ("oracle-compare", {"data": "delta(0, 0)", "N": 4, "K": 2, "t": 0.01, "dt": 1e-4, "halving": False}, "direct"),
+        ("gauge-check", {"N": oracle._FFT_MIN_N, "eps": 0.2, "t": 2e-5, "dt": 2e-6}, "fft"),
+    ],
+)
+def test_manifest_records_rhs_route(tmp_path, kind, params, route):
+    assert run_experiment(ExperimentSpec(kind, params), str(tmp_path)) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["oracle"] == {"cutoff": params["N"], "rhs_route": route, "fft_min_n": oracle._FFT_MIN_N}

@@ -11,11 +11,13 @@ from mkdv_series import (
     invariant_drift,
     l2_mass,
     oracle_rhs,
+    oracle_rhs_grid,
     oracle_solve,
     oracle_solve_increment,
     picard_iterate,
 )
-from mkdv_series.oracle import _rhs_arrays
+from mkdv_series import oracle
+from mkdv_series.spectral import NormIndex, random_real_field
 
 
 def brute_rhs(vals, t, N, equation):
@@ -75,6 +77,34 @@ def test_rhs_single_mode_probe_vanishes():
     d = CoeffSeq.delta(1, 1, 1e-3 + 5e-4j)
     out = oracle_rhs(d, "modified_mkdv", 0.0)
     assert np.max(np.abs(out.values)) == 0.0
+
+
+@pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 101])
+def test_fft_route_matches_direct(N, monkeypatch):
+    # 4N+1 is itself 5-smooth at both cutoffs (225 = 3^2 5^2, 405 = 3^4 5),
+    # so the padding is the least alias-free length and nothing hides an
+    # off-by-one in it
+    assert oracle._fft_length(4 * N + 1) == 4 * N + 1
+    assert oracle.rhs_route(N)["rhs_route"] == "fft"
+    rng = np.random.default_rng(N)
+    a = CoeffSeq(N, rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
+    for eq in ("modified_mkdv", "mkdv"):
+        fft = oracle_rhs(a, eq, 0.37).values
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_FFT_MIN_N", 10**9)
+            direct = oracle_rhs(a, eq, 0.37).values
+        assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("N", [6, 64])
+def test_rhs_grid_matches_rowwise(N):
+    rng = np.random.default_rng(N)
+    times = np.linspace(0.0, 0.3, 5)
+    stack = rng.normal(size=(5, 2 * N + 1)) + 1j * rng.normal(size=(5, 2 * N + 1))
+    for eq in ("modified_mkdv", "mkdv"):
+        grid = oracle_rhs_grid(stack, times, eq)
+        rows = np.stack([oracle_rhs(CoeffSeq(N, v), eq, t).values for v, t in zip(stack, times)])
+        assert np.max(np.abs(grid - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 
 def test_rhs_cosine_hand_value():
@@ -141,6 +171,23 @@ def test_increment_solver_consistent():
     full = oracle_solve(a0, cfg, t).final.values
     inc = oracle_solve_increment(a0, cfg, t).values[-1]
     assert np.max(np.abs((a0.values + inc) - full)) < 1e-15
+
+
+def test_solvers_above_fft_crossover(monkeypatch):
+    N, dt, steps = 64, 1e-6, 100
+    assert oracle.rhs_route(N)["rhs_route"] == "fft"
+    a0 = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(3))
+    cfg = OracleConfig(N, dt, "modified_mkdv", steps)
+    traj = oracle_solve(a0, cfg, steps * dt)
+    inc = oracle_solve_increment(a0, cfg, steps * dt).values
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_FFT_MIN_N", 10**9)
+        direct = oracle_solve_increment(a0, cfg, steps * dt).values
+    assert np.max(np.abs(inc - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.max(np.abs((a0.values + inc) - traj.values)) <= 1e-15
+    assert invariant_drift(traj) <= 1e-12
+    final = traj.final.values
+    assert np.max(np.abs(final - np.conj(final[::-1]))) <= 1e-12
 
 
 def test_cumulative_simpson_fourth_order():
