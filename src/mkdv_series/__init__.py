@@ -30,7 +30,6 @@ from .indexer import (
 )
 from .ops import (
     KernelPoint,
-    TreeTerm,
     apply_tree_operator,
     integral_bound,
     integral_exact,

@@ -30,7 +30,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -282,6 +282,18 @@ def _exp_kernel_norms(params, out, seed, jobs):
     return params, assertions, {}
 
 
+def _oracle_config(N, dt, equation, t):
+    """RK4 oracle configuration for a run to time t; a step size the oracle
+    would refuse is a bad spec, reported before any work is done."""
+    try:
+        cfg = OracleConfig(N, dt, equation)  # rejects dt <= 0 before t / dt
+        cfg = replace(cfg, steps=int(round(t / dt)))
+        cfg.check_run(t)
+    except ValueError as exc:
+        raise ExperimentError(f"oracle: {exc}") from exc
+    return cfg
+
+
 def _exp_oracle_compare(params, out, seed, jobs):
     N = int(params.pop("N", 6))
     K = int(params.pop("K", 3))
@@ -295,6 +307,10 @@ def _exp_oracle_compare(params, out, seed, jobs):
     halving = bool(params.pop("halving", True))
     ratio_min = float(params.pop("ratio_min", 2.0**3.5))
     a0 = load_initial_data(data, N)
+    if oracle_kind not in ("rk4", "picard"):
+        raise ExperimentError(f"unknown oracle {oracle_kind!r}")
+    times = (t, t / 2) if halving else (t,)
+    rk4 = {tt: _oracle_config(N, dt, "modified_mkdv", tt) for tt in times} if oracle_kind == "rk4" else {}
 
     def one(tt):
         cfg = SeriesConfig(N=N, K=K, t_grid=(tt,), project_internal=project)
@@ -303,12 +319,9 @@ def _exp_oracle_compare(params, out, seed, jobs):
             grid = np.linspace(0.0, tt, grid_points)
             ref = picard_iterate(a0, grid, K)
             diff = sol.final.values - ref.values[-1]
-        elif oracle_kind == "rk4":
-            steps = int(round(tt / dt))
-            ref = oracle_solve_increment(a0, OracleConfig(N, dt, "modified_mkdv", steps), tt)
-            diff = sol.increment_at(0).values - ref.values[-1]
         else:
-            raise ExperimentError(f"unknown oracle {oracle_kind!r}")
+            ref = oracle_solve_increment(a0, rk4[tt], tt)
+            diff = sol.increment_at(0).values - ref.values[-1]
         return sol, float(np.max(np.abs(diff)))
 
     sol, err = one(t)
@@ -334,10 +347,12 @@ def _exp_gauge_check(params, out, seed, jobs):
     t = float(params.pop("t", 0.5))
     dt = float(params.pop("dt", 1e-4))
     tol = float(params.pop("tol", 1e-6))
+    mod_cfg = _oracle_config(N, dt, "modified_mkdv", t)
+    plain_cfg = replace(mod_cfg, equation="mkdv")
     a0 = CoeffSeq.cosine(N, eps)
-    steps = int(round(t / dt))
-    mod = oracle_solve(a0, OracleConfig(N, dt, "modified_mkdv", steps), t)
-    plain = oracle_solve(a0, OracleConfig(N, dt, "mkdv", steps), t)
+    steps = mod_cfg.steps
+    mod = oracle_solve(a0, mod_cfg, t)
+    plain = oracle_solve(a0, plain_cfg, t)
     c = l2_mass(a0)
     rows = []
     stride = max(1, steps // 50)

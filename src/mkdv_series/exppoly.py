@@ -6,8 +6,9 @@ antiderivative never suffers from near-zero division.  Coefficients are
 double-precision complex; "exact" therefore means exact modulo rounding.
 
 The class is the scalar reference used to evaluate nested oscillatory
-integrals over tree-ordered time simplices; a vectorized clone of the same
-recursion lives in ops.py for bulk evaluation.
+integrals over tree-ordered time simplices; the solver's fold in ops.py
+carries the same (coeff, power, freq) terms as arrays of rows, one
+exponential polynomial per mode.
 """
 
 from __future__ import annotations

@@ -9,36 +9,33 @@ involved except in the test oracles.
 
 Two evaluation paths exist deliberately:
 
-* a scalar path on :class:`~mkdv_series.exppoly.ExpPoly`, memoized on
-  (tree shape, per-node frequency profile), which is the readable
-  reference; and
-* a batch path where each symbolic term carries per-profile coefficient
-  and frequency arrays, used to evaluate the full multilinear sums, which
-  aggregate millions of index assignments into far fewer distinct
-  frequency profiles.
+* a scalar path on :class:`~mkdv_series.exppoly.ExpPoly`, one integral per
+  (tree shape, per-node frequency profile), with the operator summed
+  assignment by assignment; it is the readable reference; and
+* the fold used by the solver: one trilinear node step, applied bottom-up
+  over the tree, carries each node's value as rows (mode, power,
+  frequency, coefficient) of an exponential polynomial in time, so the
+  sum over assignments is taken node by node rather than over the
+  (2N+1)^(2k+1) grid of leaf modes.
 
 The two paths are cross-checked in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
-from .indexer import IndexAssignment, enumerate_assignments, expansion_coefficient, sigma
+from .indexer import IndexAssignment, build_assignment, expansion_coefficient
 from .spectral import CoeffSeq, bracket
 from .trees import TernaryTree, odd_even_partition
 
-try:  # optional jit fast path; the numpy route below is the fallback
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
-
 __all__ = [
-    "TreeTerm",
     "KernelPoint",
     "tree_integral_poly",
     "integral_exact",
@@ -55,43 +52,39 @@ __all__ = [
     "kernel_norm_scan",
 ]
 
-_CHUNK_ROWS = 1 << 20
-_PROFILE_CHUNK = 1 << 18
-
 
 # ---------------------------------------------------------------------------
 # exact integrals: scalar reference path
 # ---------------------------------------------------------------------------
 
-_INTEGRAL_CACHE: dict = {}
-
 
 def tree_integral_poly(tree: TernaryTree, sigmas: tuple) -> ExpPoly:
     """Symbolic value of the tree integral as a function of the upper time
     limit, for one frequency profile (one sigma per internal node, in
-    preorder order).  Memoized: the integral depends on an assignment only
-    through this profile."""
-    internal = tree.internal_nodes
-    if len(sigmas) != len(internal):
+    preorder order).  Memoized in a bounded cache: the integral depends on
+    an assignment only through this profile."""
+    if len(sigmas) != tree.internal_count:
         raise ValueError("one frequency per internal node required")
-    key = (tree.to_string(), tuple(int(s) for s in sigmas))
-    hit = _INTEGRAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rank = {v: i for i, v in enumerate(internal)}
+    return _tree_integral_poly(tree.to_string(), tuple(int(s) for s in sigmas))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _tree_integral_poly(shape: str, sigmas: tuple) -> ExpPoly:
+    tree = TernaryTree.from_string(shape)
+    rank = {v: i for i, v in enumerate(tree.internal_nodes)}
 
     def build(v: int) -> ExpPoly:
-        poly = ExpPoly.exponential(int(sigmas[rank[v]]))
+        poly = ExpPoly.exponential(sigmas[rank[v]])
         for c in tree.children[v]:
             if not tree.is_leaf(c):
                 poly = ep_mul(poly, build(c))
         return ep_integrate(poly)
 
     poly = build(0)
-    k = len(internal)
+    k = len(sigmas)
     # resource guard on the two-branch antidifferentiation recursion
-    assert poly.term_count <= 2**k * (k + 1), "term growth exceeded bound"
-    _INTEGRAL_CACHE[key] = poly
+    if poly.term_count > 2**k * (k + 1):
+        raise RuntimeError(f"term growth exceeded bound: {poly.term_count} > {2**k * (k + 1)}")
     return poly
 
 
@@ -134,115 +127,27 @@ def parity_bound(tree: TernaryTree, a: IndexAssignment, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batch integrals: one symbolic recursion over arrays of profiles
+# the multilinear tree operator: one trilinear node step, folded up the tree
 # ---------------------------------------------------------------------------
 
-
-def _bintegrate_term(coef, m, freq, out):
-    """Append the antiderivative terms of coef * s^m * e^{i freq s}; freq is
-    an integer array, and resonant (freq == 0) lanes take the power-raising
-    branch while the others integrate by parts."""
-    zero = freq == 0
-    if np.any(zero):
-        c0 = np.where(zero, coef, 0.0)
-        if np.any(c0 != 0):
-            out.append((c0 / (m + 1), m + 1, np.zeros_like(freq)))
-    if not np.all(zero):
-        cn = np.where(zero, 0.0, coef)
-        iw = 1j * np.where(zero, 1, freq)
-        while True:
-            out.append((cn / iw, m, freq))
-            if m == 0:
-                out.append((-cn / iw, 0, np.zeros_like(freq)))
-                break
-            cn = -cn * m / iw
-            m -= 1
-
-
-def _bintegrate(terms):
-    rows = terms[0][2].shape[0]
-    out = []
-    for coef, m, freq in terms:
-        _bintegrate_term(coef, m, freq, out)
-    # merge the pure-constant terms; other merges are not worth the scan
-    merged, const = [], {}
-    for coef, m, freq in out:
-        if not np.any(freq):
-            const[m] = const.get(m, 0) + coef
-        elif np.any(coef):
-            merged.append((coef, m, freq))
-    for m, coef in sorted(const.items()):
-        if np.any(coef):
-            merged.append((coef, m, np.zeros(rows, dtype=np.int64)))
-    return merged
-
-
-def _bmul(f, g):
-    out = []
-    for c1, m1, w1 in f:
-        for c2, m2, w2 in g:
-            out.append((c1 * c2, m1 + m2, w1 + w2))
-    return out
-
-
-def batch_tree_integrals(tree: TernaryTree, sig_cols: np.ndarray, ts) -> np.ndarray:
-    """Exact integrals for many frequency profiles at once.
-
-    ``sig_cols`` has one row per profile and one column per internal node
-    (preorder order).  Returns an array of shape (len(ts), n_profiles).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    internal = tree.internal_nodes
-    n_prof = sig_cols.shape[0]
-    out = np.empty((ts.size, n_prof), dtype=np.complex128)
-    rank = {v: i for i, v in enumerate(internal)}
-
-    for lo in range(0, n_prof, _PROFILE_CHUNK):
-        hi = min(lo + _PROFILE_CHUNK, n_prof)
-        cols = sig_cols[lo:hi]
-        rows = hi - lo
-
-        def build(v):
-            terms = [(np.ones(rows, dtype=np.complex128), 0, cols[:, rank[v]].astype(np.int64))]
-            for c in tree.children[v]:
-                if not tree.is_leaf(c):
-                    terms = _bmul(terms, build(c))
-            return _bintegrate(terms)
-
-        poly = build(0)
-        for it, t in enumerate(ts):
-            acc = np.zeros(rows, dtype=np.complex128)
-            for coef, m, freq in poly:
-                acc += coef * (t**m if m else 1.0) * np.exp(1j * freq * t)
-            out[it, lo:hi] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the multilinear tree operator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeTerm:
-    """Result of one tree operator applied to fixed leaf data at time t."""
-
-    tree: TernaryTree
-    t: float
-    values: CoeffSeq
+# Elements per vectorized block (row triples in a node step, rows x times in
+# an evaluation); bounds temporary memory.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class TermTable:
-    """Aggregated assignments of one tree: for each distinct (output mode,
-    frequency profile) pair the summed complex weight.  Evaluating a table
-    at a time t costs one batch-integral pass, so sweeps over t reuse the
-    expensive enumeration."""
+    """One tree's operator on fixed leaf data as an exponential polynomial
+    in time per output mode: row r contributes
+    weights[r] * t^powers[r] * e^{i freqs[r] t} at mode root_idx[r] - N.
+    Evaluating at a time is one pass over the rows, so sweeps over t reuse
+    the fold."""
 
     tree: TernaryTree
     cutoff: int
-    root_idx: np.ndarray     # int, position of output mode (mode + N)
-    sig_cols: np.ndarray     # int64, [n_profiles, k]
+    root_idx: np.ndarray     # int64, position of output mode (mode + N)
+    powers: np.ndarray       # int64
+    freqs: np.ndarray        # int64
     weights: np.ndarray      # complex128
 
 
@@ -254,15 +159,21 @@ def _subtree_leaf_counts(tree: TernaryTree):
     return counts
 
 
-def _pack_bounds(tree: TernaryTree, N: int):
-    """Mixed-radix capacity per internal node: |sigma_v| <= B_v from the
-    subtree leaf counts, since every leaf mode is bounded by N."""
+def _key_bounds(tree: TernaryTree, N: int):
+    """Bounds (mode, power, frequency) of every row of the fold, for the
+    packed int64 merge key.  Over the whole tree |mode| <= (2k+1) N, the
+    power is at most k, and |frequency| is at most the sum over nodes of
+    |sigma_v| <= 3 (l1+l2)(l2+l3)(l3+l1) N^3 from the subtree leaf counts;
+    every subtree stays inside the same bounds."""
     counts = _subtree_leaf_counts(tree)
-    bounds = []
+    w_max = 0
     for v in tree.internal_nodes:
         l1, l2, l3 = (counts[c] for c in tree.children[v])
-        bounds.append(3 * (l1 + l2) * (l2 + l3) * (l3 + l1) * N**3)
-    return bounds
+        w_max += 3 * (l1 + l2) * (l2 + l3) * (l3 + l1) * N**3
+    n_max, m_max = counts[0] * N, tree.internal_count
+    if (2 * n_max + 1) * (m_max + 1) * (2 * w_max + 1) >= 1 << 63:
+        raise ValueError("(mode, power, frequency) key range overflows int64")
+    return n_max, m_max, w_max
 
 
 def _bincount_complex(inverse, weights, size):
@@ -271,162 +182,87 @@ def _bincount_complex(inverse, weights, size):
     )
 
 
-def _unique_packed(keys, weights):
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, _bincount_complex(inverse, weights, uniq.size)
+def _merge(rows, bounds):
+    """Sum the rows that share (mode, power, frequency), on one packed
+    int64 key; rows that cancel to exactly zero are dropped."""
+    n, m, w, c = rows
+    n_max, m_max, w_max = bounds
+    m_rad, w_rad = m_max + 1, 2 * w_max + 1
+    keys, inverse = np.unique(((n + n_max) * m_rad + m) * w_rad + (w + w_max), return_inverse=True)
+    c = _bincount_complex(inverse, c, keys.size)
+    rest, w = np.divmod(keys, w_rad)
+    n, m = np.divmod(rest, m_rad)
+    nz = c != 0
+    return n[nz] - n_max, m[nz], w[nz] - w_max, c[nz]
 
 
-def _unique_columns(root_idx, sig_cols, weights):
-    stacked = np.column_stack([root_idx, sig_cols])
-    rows, first, inverse = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
-    )
-    w = _bincount_complex(inverse, weights, first.size)
-    return rows[:, 0], rows[:, 1:], w
+def _antiderivative(rows):
+    """Rows of int_0^s of the given rows.  A resonant row (frequency 0)
+    raises its power; c s^m e^{iws} integrates by parts into powers m..0
+    at frequency w, plus the constant that makes the value 0 at s = 0."""
+    n, m, w, c = rows
+    res = w == 0
+    out = [(n[res], m[res] + 1, w[res], c[res] / (m[res] + 1))]
+    n, m, w, c = n[~res], m[~res], w[~res], c[~res]
+    iw = 1j * w
+    while n.size:
+        c = c / iw
+        out.append((n, m, w, c))
+        last = m == 0
+        zero = m[last]
+        out.append((n[last], zero, zero, -c[last]))
+        more = ~last
+        n, m, w, iw, c = n[more], m[more] - 1, w[more], iw[more], -c[more] * m[more]
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _numpy_chunk(tree, supports, leaf_values, sizes, lo, hi, N, project_internal):
-    """One chunk of the leaf-grid enumeration, fully vectorized: returns the
-    filtered (root value, sigma columns, complex weight) arrays."""
-    k = tree.internal_count
-    internal = tree.internal_nodes
-    leaves = tree.leaves
-    flat = np.arange(lo, hi, dtype=np.int64)
-    pos = np.unravel_index(flat, sizes)
-
-    values: dict = {}
-    weight = np.ones(hi - lo, dtype=np.complex128)
-    for i, v in enumerate(leaves):
-        idx = supports[i][pos[i]]
-        values[v] = idx.astype(np.int64) - N
-        weight = weight * leaf_values[i][idx]
-
-    valid = np.ones(hi - lo, dtype=bool)
-    sig_cols = np.empty((hi - lo, k), dtype=np.int64)
-    for v in reversed(internal):
-        c1, c2, c3 = (values[c] for c in tree.children[v])
-        values[v] = c1 + c2 + c3
-    for col, v in enumerate(internal):
-        jv = values[v]
-        c1, c2, c3 = (values[c] for c in tree.children[v])
-        res = (c1 == jv) & (c2 == -jv) & (c3 == jv)
-        star = (c1 != jv) & (c2 != jv) & (c3 != jv)
-        valid &= res | star
-        if project_internal:
-            valid &= np.abs(jv) <= N
-        sig_cols[:, col] = 3 * (c1 + c2) * (c2 + c3) * (c3 + c1)
-        weight = weight * np.where(res, 1j * jv, (-1j / 3.0) * jv)
-
-    valid &= np.abs(values[0]) <= N
-    valid &= weight != 0
-    return values[0][valid], sig_cols[valid], weight[valid]
-
-
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _kernel_chunk(
-        lo,
-        hi,
-        sizes,
-        sup_modes,
-        sup_vals,
-        child_kind,
-        child_ref,
-        N,
-        project,
-        offs,
-        radix,
-        out_keys,
-        out_w,
-    ):  # pragma: no cover - exercised through tree_term_table
-        L = sizes.size
-        k = child_kind.shape[0]
-        idx = np.empty(L, dtype=np.int64)
-        modes = np.empty(L, dtype=np.int64)
-        prefix = np.empty(L, dtype=np.complex128)
-        jv = np.empty(k, dtype=np.int64)
-        sig = np.empty(k, dtype=np.int64)
-        # decode the chunk start once; afterwards step like an odometer
-        f = lo
-        for i in range(L - 1, -1, -1):
-            q = f // sizes[i]
-            idx[i] = f - q * sizes[i]
-            f = q
-        for i in range(L):
-            modes[i] = sup_modes[i, idx[i]]
-            base = prefix[i - 1] if i > 0 else 1.0 + 0.0j
-            prefix[i] = base * sup_vals[i, idx[i]]
-        count = 0
-        for flat in range(lo, hi):
-            w = prefix[L - 1]
-            ok = True
-            for t in range(k - 1, -1, -1):
-                c1 = modes[child_ref[t, 0]] if child_kind[t, 0] == 0 else jv[child_ref[t, 0]]
-                c2 = modes[child_ref[t, 1]] if child_kind[t, 1] == 0 else jv[child_ref[t, 1]]
-                c3 = modes[child_ref[t, 2]] if child_kind[t, 2] == 0 else jv[child_ref[t, 2]]
-                s = c1 + c2 + c3
-                jv[t] = s
-                res = (c1 == s) and (c2 == -s) and (c3 == s)
-                star = (c1 != s) and (c2 != s) and (c3 != s)
-                if not (res or star):
-                    ok = False
-                    break
-                if project and (s > N or s < -N):
-                    ok = False
-                    break
-                sig[t] = 3 * (c1 + c2) * (c2 + c3) * (c3 + c1)
-                if res:
-                    w = w * (1j * float(s))
-                else:
-                    w = w * (-1j / 3.0 * float(s))
-            if ok:
-                root = jv[0]
-                if -N <= root <= N and w != 0.0:
-                    key = root + N
-                    for t in range(k):
-                        key = key * radix[t] + (sig[t] + offs[t])
-                    out_keys[count] = key
-                    out_w[count] = w
-                    count += 1
-            if flat + 1 < hi:
-                i = L - 1
-                while True:
-                    idx[i] += 1
-                    if idx[i] < sizes[i]:
-                        break
-                    idx[i] = 0
-                    i -= 1
-                for j in range(i, L):
-                    modes[j] = sup_modes[j, idx[j]]
-                    base = prefix[j - 1] if j > 0 else 1.0 + 0.0j
-                    prefix[j] = base * sup_vals[j, idx[j]]
-        return count
-
-
-def _kernel_inputs(tree, supports, leaf_values, N):
-    L = len(supports)
-    max_size = max(s.size for s in supports)
-    sup_modes = np.zeros((L, max_size), dtype=np.int64)
-    sup_vals = np.zeros((L, max_size), dtype=np.complex128)
-    for i, s in enumerate(supports):
-        sup_modes[i, : s.size] = s - N
-        sup_vals[i, : s.size] = leaf_values[i][s]
-    internal = tree.internal_nodes
-    rank = {v: t for t, v in enumerate(internal)}
-    leaf_slot = {v: i for i, v in enumerate(tree.leaves)}
-    k = len(internal)
-    child_kind = np.zeros((k, 3), dtype=np.int8)
-    child_ref = np.zeros((k, 3), dtype=np.int64)
-    for t, v in enumerate(internal):
-        for c_i, c in enumerate(tree.children[v]):
-            if tree.is_leaf(c):
-                child_kind[t, c_i] = 0
-                child_ref[t, c_i] = leaf_slot[c]
-            else:
-                child_kind[t, c_i] = 1
-                child_ref[t, c_i] = rank[c]
-    return sup_modes, sup_vals, child_kind, child_ref
+def _node_step(children, N, restrict, bounds):
+    """One trilinear node: pair the children's rows and keep the triples
+    that are resonant (j, -j, j) or star with output mode n != 0 (and
+    |n| <= N when ``restrict``); weight them +in or -in/3, add powers, and
+    add frequencies plus sigma = 3 (n1+n2)(n2+n3)(n3+n1); then merge and
+    integrate from 0."""
+    (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
+    i1, i2 = np.divmod(np.arange(n1.size * n2.size), n2.size)
+    n12 = n1[i1] + n2[i2]
+    # rows come sorted by mode (the leading digit of the merge key), so the
+    # third child's rows that keep |n| in range are contiguous
+    reach = N if restrict else bounds[0]
+    start = np.searchsorted(n3, -reach - n12, "left")
+    count = np.searchsorted(n3, reach - n12, "right") - start
+    ends = np.cumsum(count)
+    parts = []
+    lo, done = 0, 0
+    while lo < ends.size and done < ends[-1]:
+        hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
+        p = np.repeat(np.arange(lo, hi), count[lo:hi])
+        j1, j2 = i1[p], i2[p]
+        j3 = start[p] + done + np.arange(p.size) - (ends[p] - count[p])
+        k3 = n3[j3]
+        s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
+        n = s12 + k3
+        sig = 3 * s12 * s23 * s31
+        res = (s12 == 0) & (s23 == 0)
+        keep = np.nonzero(((sig != 0) | res) & (n != 0))[0]
+        j1, j2, j3, n, sig, res = j1[keep], j2[keep], j3[keep], n[keep], sig[keep], res[keep]
+        weight = np.where(res, 1j * n, (-1j / 3.0) * n)
+        parts.append(
+            _merge(
+                (
+                    n,
+                    m1[j1] + m2[j2] + m3[j3],
+                    w1[j1] + w2[j2] + w3[j3] + sig,
+                    weight * c1[j1] * c2[j2] * c3[j3],
+                ),
+                bounds,
+            )
+        )
+        lo, done = hi, int(ends[hi - 1])
+    if not parts:
+        z = np.empty(0, dtype=np.int64)
+        return z, z, z, np.empty(0, dtype=np.complex128)
+    rows = parts[0] if len(parts) == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts)), bounds)
+    return _merge(_antiderivative(rows), bounds)
 
 
 def tree_term_table(
@@ -434,21 +270,22 @@ def tree_term_table(
     leaf_data,
     N: int,
     project_internal: bool = False,
-    chunk_rows: int = _CHUNK_ROWS,
-    use_jit: bool | None = None,
 ) -> TermTable:
-    """Enumerate every admissible assignment of the tree (leaf modes running
-    over the support of each leaf's data) and aggregate coefficient-weighted
-    leaf products by (output mode, frequency profile).
+    """Fold one trilinear node step bottom-up over the tree.
 
-    Only leaf modes inside [-N, N] are populated by construction; internal
-    modes are additionally restricted to the cutoff when
-    ``project_internal`` is set.  Output modes beyond the cutoff are
-    discarded (the result is a sequence at cutoff N either way).
+    Each node's value is a table of rows (mode n, power m, frequency w,
+    coefficient c), meaning sum c s^m e^{iws} at mode n as a function of
+    the node's time s.  A leaf gives the support of its datum with m = w
+    = 0.  An internal node pairs its children's rows, keeps the admissible
+    triples with their node weight and resonance frequency, merges rows by
+    (n, m, w) and takes the exact antiderivative from 0.  Summing over the
+    pairings at every node sums over every admissible assignment of leaf
+    modes, so the root's table is the tree operator.
 
-    The row sweep runs through a jit-compiled kernel when numba is present
-    (``use_jit=None`` auto-detects); the pure-numpy sweep computes the same
-    rows in the same order and is kept as the fallback and cross-check.
+    Leaf modes lie in [-N, N] by construction; internal modes are also
+    restricted to the cutoff when ``project_internal`` is set.  Output
+    modes beyond the cutoff are discarded (the result is a sequence at
+    cutoff N either way).
     """
     leaves = tree.leaves
     if len(leaf_data) != len(leaves):
@@ -461,102 +298,43 @@ def tree_term_table(
         raise ValueError("single-leaf tree has no table; handled by caller")
     if (2 * k + 1) * N >= (1 << 15):
         raise ValueError("mode range too large for int64 frequency arithmetic")
+    bounds = _key_bounds(tree, N)
 
-    supports = [np.nonzero(d.values)[0] for d in leaf_data]
-    leaf_values = [d.values for d in leaf_data]
-    sizes = np.array([s.size for s in supports], dtype=np.int64)
-    empty = TermTable(
-        tree,
-        N,
-        np.empty(0, dtype=np.int64),
-        np.empty((0, k), dtype=np.int64),
-        np.empty(0, dtype=np.complex128),
-    )
-    total = int(np.prod(sizes))
-    if total == 0:
-        return empty
-
-    bounds = _pack_bounds(tree, N)
-    capacity = 2 * N + 1
-    for b in bounds:
-        capacity *= 2 * b + 1
-    packable = capacity < (1 << 62)
-    jit = (_numba is not None) if use_jit is None else (use_jit and _numba is not None)
-
-    if packable:
-        offs = np.array(bounds, dtype=np.int64)
-        radix = 2 * offs + 1
-        if jit:
-            sup_modes, sup_vals, child_kind, child_ref = _kernel_inputs(
-                tree, supports, leaf_values, N
-            )
-        parts_k, parts_w = [], []
-        buf_keys = np.empty(min(chunk_rows, total), dtype=np.int64)
-        buf_w = np.empty(min(chunk_rows, total), dtype=np.complex128)
-        for lo in range(0, total, chunk_rows):
-            hi = min(lo + chunk_rows, total)
-            if jit:
-                cnt = _kernel_chunk(
-                    lo, hi, sizes, sup_modes, sup_vals, child_kind, child_ref,
-                    N, project_internal, offs, radix, buf_keys, buf_w,
-                )
-                keys, w = buf_keys[:cnt], buf_w[:cnt]
-            else:
-                root, cols, w = _numpy_chunk(
-                    tree, supports, leaf_values, sizes, lo, hi, N, project_internal
-                )
-                keys = root + N
-                for col, b, rad in zip(cols.T, bounds, radix):
-                    keys = keys * rad + (col + b)
-            if keys.size:
-                ku, wu = _unique_packed(keys, w)
-                parts_k.append(ku)
-                parts_w.append(wu)
-        if not parts_k:
-            return empty
-        keys, w = _unique_packed(np.concatenate(parts_k), np.concatenate(parts_w))
-        sig_cols = np.empty((keys.size, k), dtype=np.int64)
-        rest = keys.copy()
-        for t in range(k - 1, -1, -1):
-            sig_cols[:, t] = rest % radix[t] - offs[t]
-            rest //= radix[t]
-        return TermTable(tree, N, rest, sig_cols, w)
-
-    parts_root, parts_cols, parts_w = [], [], []
-    for lo in range(0, total, chunk_rows):
-        hi = min(lo + chunk_rows, total)
-        root, cols, w = _numpy_chunk(
-            tree, supports, leaf_values, sizes, lo, hi, N, project_internal
-        )
-        if root.size:
-            r, c, wu = _unique_columns(root + N, cols, w)
-            parts_root.append(r)
-            parts_cols.append(c)
-            parts_w.append(wu)
-    if not parts_root:
-        return empty
-    r, c, w = _unique_columns(
-        np.concatenate(parts_root), np.vstack(parts_cols), np.concatenate(parts_w)
-    )
-    return TermTable(tree, N, r, c, w)
+    data = dict(zip(leaves, leaf_data))
+    rows = {}
+    for v in range(tree.size - 1, -1, -1):  # preorder ids: children after parents
+        ch = tree.children[v]
+        if ch is None:
+            support = np.nonzero(data[v].values)[0]
+            zero = np.zeros(support.size, dtype=np.int64)
+            rows[v] = (support - N, zero, zero, data[v].values[support])
+        else:
+            kids = [rows.pop(c) for c in ch]
+            rows[v] = _node_step(kids, N, project_internal or v == 0, bounds)
+    n, m, w, c = rows[0]
+    return TermTable(tree, N, n + N, m, w, c)
 
 
 def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
     """Values of the tree operator at the given times.
 
-    Returns an array of shape (len(ts), 2N+1), modes ordered -N..N.
+    Returns an array of shape (len(ts), 2N+1), modes ordered -N..N.  The
+    table's value at t = 0 (its constant rows) is subtracted row by row,
+    so the operator vanishes exactly at t = 0.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    width = 2 * table.cutoff + 1
-    out = np.zeros((ts.size, width), dtype=np.complex128)
-    if table.weights.size == 0:
+    out = np.zeros((ts.size, 2 * table.cutoff + 1), dtype=np.complex128)
+    rows = table.weights.size
+    if rows == 0:
         return out
-    integrals = batch_tree_integrals(table.tree, table.sig_cols, ts)
-    for it in range(ts.size):
-        contrib = table.weights * integrals[it]
-        out[it] = np.bincount(table.root_idx, weights=contrib.real, minlength=width) + 1j * np.bincount(
-            table.root_idx, weights=contrib.imag, minlength=width
-        )
+    # rows come sorted by mode, so each mode's rows are one contiguous run
+    idx, first = np.unique(table.root_idx, return_index=True)
+    at_zero = table.powers == 0
+    step = max(1, _BLOCK // rows)
+    for lo in range(0, ts.size, step):
+        t = ts[lo : lo + step, None]
+        terms = table.weights * (t**table.powers * np.exp(1j * t * table.freqs) - at_zero)
+        out[lo : lo + step, idx] = np.add.reduceat(terms, first, axis=1)
     return out
 
 
@@ -592,8 +370,9 @@ def apply_tree_operator_reference(
     N: int,
     project_internal: bool = False,
 ) -> CoeffSeq:
-    """Brute-force evaluation through the scalar assignment stream; used to
-    pin down the vectorized path on small cases."""
+    """Brute-force evaluation through the scalar assignment stream: every
+    tuple of leaf modes in the data's support, one exact integral each.
+    Used to pin down the fold on small cases."""
     if tree.internal_count == 0:
         if len(leaf_data) != 1:
             raise ValueError("single-leaf tree takes exactly one sequence")
@@ -602,18 +381,18 @@ def apply_tree_operator_reference(
     if len(leaf_data) != len(leaves):
         raise ValueError(f"need {len(leaves)} leaf sequences, got {len(leaf_data)}")
     out = np.zeros(2 * N + 1, dtype=np.complex128)
-    for n in range(-N, N + 1):
-        acc = 0.0 + 0.0j
-        for a in enumerate_assignments(tree, n, N, project_internal):
-            w = expansion_coefficient(a)
-            for i, v in enumerate(leaves):
-                w *= leaf_data[i][a.j[v]]
-                if w == 0:
-                    break
-            if w == 0:
-                continue
-            acc += w * integral_exact(tree, a, t)
-        out[n + N] = acc
+    # leaf modes where some datum vanishes contribute nothing
+    supports = [[int(m) - N for m in np.nonzero(d.values)[0]] for d in leaf_data]
+    for modes in itertools.product(*supports):
+        a = build_assignment(tree, modes)
+        if a is None or abs(a.j[0]) > N:
+            continue
+        if project_internal and any(abs(a.j[v]) > N for v in tree.internal_nodes):
+            continue
+        w = expansion_coefficient(a)
+        for d, m in zip(leaf_data, modes):
+            w *= d[m]
+        out[a.j[0] + N] += w * integral_exact(tree, a, t)
     return CoeffSeq(N, out)
 
 
@@ -631,20 +410,20 @@ def majorant_apply(a1: CoeffSeq, a2: CoeffSeq, a3: CoeffSeq, s: float) -> CoeffS
     if a2.cutoff != N or a3.cutoff != N:
         raise ValueError("common cutoff required")
     modes = np.arange(-N, N + 1)
-    m1 = np.abs(a1.values)[:, None, None]
-    m2 = np.abs(a2.values)[None, :, None]
-    n1 = modes[:, None, None]
-    n2 = modes[None, :, None]
-    n = modes[None, None, :]
-    n3 = n - n1 - n2
-    inside = np.abs(n3) <= N
-    star = (n1 != n) & (n2 != n) & (n3 != n) & inside
-    a3_abs = np.abs(a3.values)
-    m3 = np.where(inside, a3_abs[np.clip(n3 + N, 0, 2 * N)], 0.0)
-    sig = 3.0 * (n1 + n2) * (n2 + n3) * (n3 + n1)
-    kern = np.abs(n) / np.sqrt(np.sqrt(1.0 + sig**2))
-    total = np.sum(np.where(star, kern * m1 * m2 * m3, 0.0), axis=(0, 1))
-    diag = np.abs(modes) * np.abs(a1.values) * np.abs(a2.values) * np.abs(a3.values)
+    m1, m2, m3 = (np.abs(a.values) for a in (a1, a2, a3))
+    n2 = modes[:, None]
+    n = modes[None, :]
+    # one n1 at a time keeps the (n2, n) slices, and memory, O(N^2)
+    total = np.zeros(2 * N + 1)
+    for n1, w1 in zip(modes, m1):
+        n3 = n - n1 - n2
+        inside = np.abs(n3) <= N
+        star = (n1 != n) & (n2 != n) & (n3 != n) & inside
+        w3 = np.where(inside, m3[np.clip(n3 + N, 0, 2 * N)], 0.0)
+        sig = 3.0 * (n1 + n2) * (n2 + n3) * (n3 + n1)
+        kern = np.abs(n) / np.sqrt(np.sqrt(1.0 + sig**2))
+        total += np.sum(np.where(star, kern * w1 * m2[:, None] * w3, 0.0), axis=0)
+    diag = np.abs(modes) * m1 * m2 * m3
     return CoeffSeq(N, (total + diag).astype(np.complex128))
 
 

@@ -85,6 +85,14 @@ class OracleConfig:
         """Step-size guard 0.5 / (1 + N^3) for the nonlinear phases."""
         return 0.5 / (1.0 + self.N**3)
 
+    def check_run(self, t: float) -> None:
+        """Raise ValueError unless dt is within the stability guard and
+        t = steps * dt."""
+        if self.dt > self.dt_limit:
+            raise ValueError(f"dt {self.dt} exceeds the stability guard {self.dt_limit:.3e}")
+        if not np.isclose(self.steps * self.dt, t, rtol=1e-12, atol=1e-15):
+            raise ValueError(f"t {t} must equal steps * dt = {self.steps} * {self.dt}")
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -198,12 +206,7 @@ def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
     """Compensated RK4 for the increment y(t) = a(t) - a(0)."""
     if a0.cutoff != cfg.N:
         raise ValueError("initial data cutoff must match the configuration")
-    if cfg.dt > cfg.dt_limit:
-        raise ValueError(
-            f"dt {cfg.dt} exceeds the stability guard {cfg.dt_limit:.3e}"
-        )
-    if not np.isclose(cfg.steps * cfg.dt, t, rtol=1e-12, atol=1e-15):
-        raise ValueError("t must equal steps * dt")
+    cfg.check_run(t)
     N, dt, eq = cfg.N, cfg.dt, cfg.equation
     modes, cubes = _modes(N)
     base = a0.values

@@ -2,9 +2,10 @@
 term up to a depth cap, with a geometric-convergence certificate and an
 integral-equation residual diagnostic.
 
-The expensive part of a tree term (enumerating index assignments and
-aggregating weights by frequency profile) does not depend on time, so one
-solve evaluates the whole time grid at marginal extra cost.
+Each tree term is built once as a table of exponential-polynomial rows
+(mode, power, frequency, coefficient) by folding one trilinear node step
+up the tree; the table does not depend on time, so one solve evaluates the
+whole time grid at the cost of one pass over the rows per time.
 """
 
 from __future__ import annotations

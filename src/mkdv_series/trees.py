@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "TernaryTree",
@@ -56,11 +56,13 @@ class TernaryTree:
     def size(self) -> int:
         return len(self.children)
 
-    @property
+    # cached: the tree is immutable, and the scalar reference paths read
+    # these once per index assignment
+    @cached_property
     def internal_nodes(self) -> tuple:
         return tuple(v for v, ch in enumerate(self.children) if ch is not None)
 
-    @property
+    @cached_property
     def leaves(self) -> tuple:
         return tuple(v for v, ch in enumerate(self.children) if ch is None)
 

@@ -205,3 +205,20 @@ def test_manifest_records_rhs_route(tmp_path, kind, params, route):
     assert run_experiment(ExperimentSpec(kind, params), str(tmp_path)) == EXIT_OK
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["oracle"] == {"cutoff": params["N"], "rhs_route": route, "fft_min_n": oracle._FFT_MIN_N}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # dt over the stability guard 0.5 / (1 + 64^3) ~ 1.9e-6
+        ["--experiment", "gauge-check", "--param", "N=64", "--param", "t=2e-5", "--param", "dt=2e-6"],
+        # t = 0.01 is not a whole number of steps of 3e-4
+        ["--experiment", "oracle-compare", "--param", "N=4", "--param", "K=1", "--param", "t=0.01", "--param", "dt=3e-4"],
+        # t = 0.01 is 5 steps of 2e-3, but the halved time 0.005 is 2.5
+        ["--experiment", "oracle-compare", "--param", "N=4", "--param", "K=1", "--param", "t=0.01", "--param", "dt=2e-3"],
+    ],
+)
+def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
+    assert not (out / "manifest.json").exists()

@@ -23,11 +23,12 @@ from mkdv_series import (
     parity_bound,
     weighted_norm,
 )
-from mkdv_series.exppoly import ep_eval
-from mkdv_series.indexer import build_assignment
+from mkdv_series import ops
+from mkdv_series.exppoly import ExpPoly, ep_eval, ep_integrate
+from mkdv_series.indexer import build_assignment, expansion_coefficient
 from mkdv_series.ops import (
     apply_tree_operator_reference,
-    batch_tree_integrals,
+    evaluate_term_table,
     kernel_point,
     tree_integral_poly,
     tree_term_table,
@@ -99,18 +100,34 @@ def test_integral_rejects_bad_inputs():
         integral_exact(CHAIN, a, 0.5)
 
 
-def test_batch_matches_scalar_on_random_profiles():
+def test_fold_matches_scalar_integral_on_delta_data():
+    # delta data on every leaf pins one assignment, so the fold's table is
+    # that assignment's coefficient times its symbolic integral
     rng = np.random.default_rng(1)
-    for tree in (T1, CHAIN, enumerate_trees(3)[4]):
-        k = tree.internal_count
-        sig = (rng.integers(-60, 61, size=(300, k)) * 3).astype(np.int64)
-        sig[rng.random((300, k)) < 0.25] = 0
-        ts = [0.05, 0.4, 1.0]
-        got = batch_tree_integrals(tree, sig, ts)
-        for i in range(0, 300, 17):
-            poly = tree_integral_poly(tree, tuple(int(x) for x in sig[i]))
-            for j, t in enumerate(ts):
-                assert abs(got[j, i] - ep_eval(poly, t)) < 1e-13
+    N = 6
+    # resonant nodes: the root of T1, the inner node of CHAIN, and both
+    cases = [
+        build_assignment(T1, (2, -2, 2)),
+        build_assignment(CHAIN, (3, -3, 3, 1, -2)),
+        build_assignment(CHAIN, (2, -2, 2, -2, 2)),
+    ]
+    assert [a.resonant for a in cases] == [(True,), (False, True), (True, True)]
+    for tree in (T1, CHAIN, enumerate_trees(3)[4], enumerate_trees(3)[11]):
+        found = 0
+        while found < 8:
+            a = build_assignment(tree, rng.integers(-N, N + 1, size=len(tree.leaves)).tolist())
+            if a is None or abs(a.j[0]) > N or a.j[0] == 0:
+                continue
+            cases.append(a)
+            found += 1
+    ts = [0.05, 0.4, 1.0]
+    for a in cases:
+        tree = a.tree
+        data = [CoeffSeq.delta(N, a.j[v], 1.0) for v in tree.leaves]
+        got = evaluate_term_table(tree_term_table(tree, data, N), ts)[:, a.j[0] + N]
+        poly = tree_integral_poly(tree, a.sigmas)
+        for j, t in enumerate(ts):
+            assert abs(got[j] - expansion_coefficient(a) * ep_eval(poly, t)) < 1e-13
 
 
 # -- decay bounds -----------------------------------------------------------
@@ -177,33 +194,31 @@ def test_cosine_resonant_term():
 
 def test_vectorized_matches_reference():
     rng = np.random.default_rng(3)
-    N = 2
-    for k in (1, 2, 3):
-        for tree in enumerate_trees(k)[:5]:
-            data = [
-                CoeffSeq(N, rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
-                for _ in tree.leaves
-            ]
-            for project in (False, True):
-                fast = apply_tree_operator(tree, data, 0.3, N, project)
-                slow = apply_tree_operator_reference(tree, data, 0.3, N, project)
-                assert np.max(np.abs(fast.values - slow.values)) < 1e-13
+    # each mode of each datum is zero with this probability; at N = 3 that
+    # also keeps the reference's sweep over leaf modes small
+    for N, zero_frac in ((2, 0.2), (3, 0.4)):
+        for k in (1, 2, 3):
+            for tree in enumerate_trees(k):
+                data = []
+                for _ in tree.leaves:
+                    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+                    v[rng.random(2 * N + 1) < zero_frac] = 0.0
+                    data.append(CoeffSeq(N, v))
+                for project in (False, True):
+                    fast = apply_tree_operator(tree, data, 0.3, N, project)
+                    slow = apply_tree_operator_reference(tree, data, 0.3, N, project)
+                    assert np.max(np.abs(fast.values - slow.values)) < 1e-13
 
 
-def test_jit_and_numpy_paths_agree():
-    rng = np.random.default_rng(4)
-    N = 3
-    tree = enumerate_trees(2)[1]
-    data = [
-        CoeffSeq(N, rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
-        for _ in tree.leaves
-    ]
-    a = tree_term_table(tree, data, N, False, use_jit=True)
-    b = tree_term_table(tree, data, N, False, use_jit=False)
-    assert np.array_equal(a.root_idx, b.root_idx)
-    assert np.array_equal(a.sig_cols, b.sig_cols)
-    scale = np.max(np.abs(b.weights))
-    assert np.max(np.abs(a.weights - b.weights)) < 1e-15 * scale
+def test_key_range_overflow_rejected():
+    # (2k+1) N = 30000 passes the mode-range guard, but the frequency bound
+    # of a two-node tree makes the packed (mode, power, frequency) key
+    # overflow int64; the guard fires before any row is built
+    N = 6000
+    d = CoeffSeq.delta(N, 1, 1.0)
+    with pytest.raises(ValueError, match="overflows int64"):
+        tree_term_table(CHAIN, [d] * 5, N)
+    assert tree_term_table(T1, [d] * 3, N).weights.size > 0
 
 
 def test_operator_multilinear_in_each_slot():
@@ -377,3 +392,19 @@ def test_term_count_guard():
             sig = tuple(int(x) * 3 for x in rng.integers(-20, 21, size=k))
             poly = tree_integral_poly(tree, sig)
             assert poly.term_count <= 2**k * (k + 1)
+
+
+def test_term_growth_guard_raises(monkeypatch):
+    # a broken antiderivative that doubles every term trips the guard as an
+    # exception (not an assert, which python -O strips)
+    def doubled(f):
+        g = ep_integrate(f)
+        return ExpPoly.from_terms(list(g.terms) + [(c, m + 7, w) for c, m, w in g.terms])
+
+    monkeypatch.setattr(ops, "ep_integrate", doubled)
+    ops._tree_integral_poly.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="term growth"):
+            tree_integral_poly(CHAIN, (24, 180))
+    finally:
+        ops._tree_integral_poly.cache_clear()
