@@ -20,16 +20,14 @@ from .trees import (
     odd_even_partition,
     split_subtrees,
 )
-from .exppoly import ExpPoly, ep_add, ep_eval, ep_integrate, ep_mul
+from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
 from .indexer import (
     IndexAssignment,
     build_assignment,
-    enumerate_assignments,
     expansion_coefficient,
     sigma,
 )
 from .ops import (
-    KernelPoint,
     apply_tree_operator,
     integral_bound,
     integral_exact,

@@ -104,8 +104,6 @@ def load_initial_data(source: str, N: int) -> CoeffSeq:
     try:
         with open(source) as fh:
             seq = CoeffSeq.from_json(fh.read())
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise ExperimentError(
             f"{source}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
@@ -142,6 +140,14 @@ def _csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _map(fn, tasks, jobs):
+    """fn over the tasks, in a pool of ``jobs`` processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _exp_convergence(params, out, seed, jobs):
@@ -222,12 +228,7 @@ def _exp_lemma_bound(params, out, seed, jobs):
         for tree in enumerate_trees(k):
             tasks.append((tree.to_string(), samples, leaf_range, tuple(times), C, seed + i))
             i += 1
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_lemma_tree_task, tasks))
-    else:
-        results = [_lemma_tree_task(t) for t in tasks]
-    rows = [r for chunk in results for r in chunk]
+    rows = [r for chunk in _map(_lemma_tree_task, tasks, jobs) for r in chunk]
     worst = max(r[6] for r in rows)
     worst_parity = max(r[7] for r in rows)
     _csv(
@@ -253,15 +254,10 @@ def _exp_kernel_norms(params, out, seed, jobs):
     which = str(params.pop("which", "m1"))
     n_list = [int(n) for n in params.pop("n", [4, 16, 64, 256])]
     M_factor = int(params.pop("M_factor", 10))
-    growth_max = params.pop("growth_max", None)
-    growth_min = params.pop("growth_min", None)
+    limits = [(key, params.pop(key, None), op) for key, op in (("growth_max", "<="), ("growth_min", ">="))]
     pairs = ((1, 2), (1, 3), (2, 3))
     tasks = [(n, s, p, pair, M_factor * n, which) for n in n_list for pair in pairs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_kernel_task, tasks))
-    else:
-        results = [_kernel_task(t) for t in tasks]
+    results = _map(_kernel_task, tasks, jobs)
     rows = [(n, s, p, f"{i}-{j}", M, v) for (n, s, p, (i, j), M, v) in results]
     _csv(out / "kernel_norms.csv", ["n", "s", "p", "pair", "M", "norm"], rows)
     by_n = {}
@@ -269,28 +265,20 @@ def _exp_kernel_norms(params, out, seed, jobs):
         by_n.setdefault(n, []).append(v)
     scan = [min(by_n[n]) for n in n_list]
     assertions = []
-    if growth_max is not None:
-        g = max(scan) / scan[0]
-        assertions.append(
-            _assert_row("norm growth over scan <= growth_max", g, float(growth_max), g <= float(growth_max))
-        )
-    if growth_min is not None:
-        g = max(scan) / scan[0]
-        assertions.append(
-            _assert_row("norm growth over scan >= growth_min", g, float(growth_min), g >= float(growth_min))
-        )
+    for key, bound, op in limits:
+        if bound is not None:
+            g, b = max(scan) / scan[0], float(bound)
+            ok = g <= b if op == "<=" else g >= b
+            assertions.append(_assert_row(f"norm growth over scan {op} {key}", g, b, ok))
     return params, assertions, {}
 
 
 def _oracle_config(N, dt, equation, t):
     """RK4 oracle configuration for a run to time t; a step size the oracle
-    would refuse is a bad spec, reported before any work is done."""
-    try:
-        cfg = OracleConfig(N, dt, equation)  # rejects dt <= 0 before t / dt
-        cfg = replace(cfg, steps=int(round(t / dt)))
-        cfg.check_run(t)
-    except ValueError as exc:
-        raise ExperimentError(f"oracle: {exc}") from exc
+    would refuse raises ValueError, a bad spec, before any work is done."""
+    cfg = OracleConfig(N, dt, equation)  # rejects dt <= 0 before t / dt
+    cfg = replace(cfg, steps=int(round(t / dt)))
+    cfg.check_run(t)
     return cfg
 
 
@@ -444,7 +432,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str, jobs: int = 1, seed: int 
     start = time.time()
     try:
         leftover, assertions, fields = _EXPERIMENTS[spec.kind](params, out, seed, jobs)
-    except ExperimentError as exc:
+    except ValueError as exc:  # ExperimentError, or a parameter a solver refuses
         logger.error("bad experiment spec: %s", exc)
         return EXIT_BAD_SPEC
     except OSError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpPoly", "ep_add", "ep_mul", "ep_integrate", "ep_eval"]
+__all__ = ["ExpPoly", "ep_mul", "ep_integrate", "ep_eval"]
 
 _PRUNE = 0.0  # coefficients exactly zero are dropped; no epsilon pruning
 
@@ -61,14 +61,6 @@ class ExpPoly:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def debug_list(self):
-        """Quadruples (re, im, power, freq) sorted by (freq, power)."""
-        return [(c.real, c.imag, m, w) for c, m, w in self.terms]
-
-
-def ep_add(f: ExpPoly, g: ExpPoly) -> ExpPoly:
-    return ExpPoly.from_terms(list(f.terms) + list(g.terms))
 
 
 def ep_mul(f: ExpPoly, g: ExpPoly) -> ExpPoly:

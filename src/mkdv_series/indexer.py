@@ -6,15 +6,16 @@ nonresonant (no child equals the parent, equivalently sigma != 0) or carries
 the exact resonant pattern (j, -j, j).  Mixed patterns with sigma = 0 but a
 different sign layout are admitted by neither branch and are excluded.
 
-Enumeration is leaf-driven: the 2k+1 leaf modes are the free variables,
-internal modes are derived sums.  This scalar generator is the reference
-path; bulk evaluation in ops.py vectorizes the same constraints.
+The 2k+1 leaf modes are the free variables and the internal modes are
+derived sums: :func:`build_assignment` labels a tree from its leaf modes
+and applies the admission rule, one assignment at a time.  It serves the
+scalar reference and the integral-bound experiment; the solver's fold in
+ops.py applies the same rule node by node to whole tables of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .trees import TernaryTree
 
@@ -22,7 +23,6 @@ __all__ = [
     "sigma",
     "IndexAssignment",
     "build_assignment",
-    "enumerate_assignments",
     "expansion_coefficient",
 ]
 
@@ -46,13 +46,6 @@ class IndexAssignment:
     j: tuple                 # mode per node, preorder
     sigmas: tuple            # sigma per internal node, in preorder order
     resonant: tuple          # flag per internal node, same order
-
-    @property
-    def root_mode(self) -> int:
-        return self.j[0]
-
-    def leaf_modes(self) -> tuple:
-        return tuple(self.j[v] for v in self.tree.leaves)
 
 
 def _node_pattern(jv, c1, c2, c3):
@@ -88,40 +81,6 @@ def build_assignment(tree: TernaryTree, leaf_modes) -> IndexAssignment | None:
         sigmas.append(sigma(c1, c2, c3))
         resonant.append(pat)
     return IndexAssignment(tree, tuple(j), tuple(sigmas), tuple(resonant))
-
-
-def enumerate_assignments(
-    tree: TernaryTree,
-    n: int,
-    N: int,
-    project_internal: bool = False,
-):
-    """Yield every valid assignment with root mode n and leaf modes in
-    [-N, N]; with ``project_internal`` the internal modes are also required
-    to stay within the cutoff.  Order is lexicographic in the leaf tuple.
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if abs(n) > N:
-        return
-    leaves = tree.leaves
-    if len(leaves) == 1:
-        yield IndexAssignment(tree, (int(n),), (), ())
-        return
-    rng = range(-N, N + 1)
-    free = len(leaves) - 1
-    for head in product(rng, repeat=free):
-        last = n - sum(head)
-        if abs(last) > N:
-            continue
-        a = build_assignment(tree, head + (last,))
-        if a is None:
-            continue
-        if project_internal and any(
-            abs(a.j[v]) > N for v in tree.internal_nodes
-        ):
-            continue
-        yield a
 
 
 def expansion_coefficient(a: IndexAssignment) -> complex:

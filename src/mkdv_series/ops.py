@@ -32,11 +32,10 @@ import numpy as np
 
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
 from .indexer import IndexAssignment, build_assignment, expansion_coefficient
-from .spectral import CoeffSeq, bracket
+from .spectral import CoeffSeq, NormIndex, bracket
 from .trees import TernaryTree, odd_even_partition
 
 __all__ = [
-    "KernelPoint",
     "tree_integral_poly",
     "integral_exact",
     "integral_bound",
@@ -48,7 +47,6 @@ __all__ = [
     "majorant_apply",
     "majorant_tree",
     "kernel_value",
-    "kernel_point",
     "kernel_norm_scan",
 ]
 
@@ -137,43 +135,20 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TermTable:
-    """One tree's operator on fixed leaf data as an exponential polynomial
+    """A tree's operator on fixed leaf data as an exponential polynomial
     in time per output mode: row r contributes
     weights[r] * t^powers[r] * e^{i freqs[r] t} at mode root_idx[r] - N.
+    Rows are sorted by (mode, power, frequency), one row per key, as the
+    fold's last merge leaves them; that merge sizes its key from the rows'
+    own ranges, so the table needs nothing of the tree that built it.
     Evaluating at a time is one pass over the rows, so sweeps over t reuse
     the fold."""
 
-    tree: TernaryTree
     cutoff: int
     root_idx: np.ndarray     # int64, position of output mode (mode + N)
     powers: np.ndarray       # int64
     freqs: np.ndarray        # int64
     weights: np.ndarray      # complex128
-
-
-def _subtree_leaf_counts(tree: TernaryTree):
-    counts = [0] * tree.size
-    for v in range(tree.size - 1, -1, -1):
-        ch = tree.children[v]
-        counts[v] = 1 if ch is None else sum(counts[c] for c in ch)
-    return counts
-
-
-def _key_bounds(tree: TernaryTree, N: int):
-    """Bounds (mode, power, frequency) of every row of the fold, for the
-    packed int64 merge key.  Over the whole tree |mode| <= (2k+1) N, the
-    power is at most k, and |frequency| is at most the sum over nodes of
-    |sigma_v| <= 3 (l1+l2)(l2+l3)(l3+l1) N^3 from the subtree leaf counts;
-    every subtree stays inside the same bounds."""
-    counts = _subtree_leaf_counts(tree)
-    w_max = 0
-    for v in tree.internal_nodes:
-        l1, l2, l3 = (counts[c] for c in tree.children[v])
-        w_max += 3 * (l1 + l2) * (l2 + l3) * (l3 + l1) * N**3
-    n_max, m_max = counts[0] * N, tree.internal_count
-    if (2 * n_max + 1) * (m_max + 1) * (2 * w_max + 1) >= 1 << 63:
-        raise ValueError("(mode, power, frequency) key range overflows int64")
-    return n_max, m_max, w_max
 
 
 def _bincount_complex(inverse, weights, size):
@@ -182,12 +157,22 @@ def _bincount_complex(inverse, weights, size):
     )
 
 
-def _merge(rows, bounds):
+def _merge(rows):
     """Sum the rows that share (mode, power, frequency), on one packed
-    int64 key; rows that cancel to exactly zero are dropped."""
+    int64 key whose digit ranges are the rows' own max |n|, max m and
+    max |w|; the result is sorted by (n, m, w), and rows that cancel to
+    exactly zero are dropped.  Raises ValueError when the key range does
+    not fit in int64."""
     n, m, w, c = rows
-    n_max, m_max, w_max = bounds
+    if not n.size:
+        return rows
+    # min and max rather than abs: no temporary arrays on the large blocks
+    n_max = max(-int(n.min()), int(n.max()))
+    w_max = max(-int(w.min()), int(w.max()))
+    m_max = int(m.max())
     m_rad, w_rad = m_max + 1, 2 * w_max + 1
+    if (2 * n_max + 1) * m_rad * w_rad >= 1 << 63:
+        raise ValueError("(mode, power, frequency) key range overflows int64")
     keys, inverse = np.unique(((n + n_max) * m_rad + m) * w_rad + (w + w_max), return_inverse=True)
     c = _bincount_complex(inverse, c, keys.size)
     rest, w = np.divmod(keys, w_rad)
@@ -216,20 +201,24 @@ def _antiderivative(rows):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _node_step(children, N, restrict, bounds):
+def _node_step(children, N, restrict):
     """One trilinear node: pair the children's rows and keep the triples
     that are resonant (j, -j, j) or star with output mode n != 0 (and
     |n| <= N when ``restrict``); weight them +in or -in/3, add powers, and
     add frequencies plus sigma = 3 (n1+n2)(n2+n3)(n3+n1); then merge and
-    integrate from 0."""
+    integrate from 0.  The children are (n, m, w, c) row tables sorted by
+    mode, and the step reads nothing else: it does not depend on the tree
+    the children come from."""
     (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
     i1, i2 = np.divmod(np.arange(n1.size * n2.size), n2.size)
     n12 = n1[i1] + n2[i2]
-    # rows come sorted by mode (the leading digit of the merge key), so the
-    # third child's rows that keep |n| in range are contiguous
-    reach = N if restrict else bounds[0]
-    start = np.searchsorted(n3, -reach - n12, "left")
-    count = np.searchsorted(n3, reach - n12, "right") - start
+    if restrict:
+        # rows come sorted by mode (the leading digit of the merge key), so
+        # the third child's rows that keep |n| <= N are contiguous
+        start = np.searchsorted(n3, -N - n12, "left")
+        count = np.searchsorted(n3, N - n12, "right") - start
+    else:
+        start, count = np.zeros_like(n12), np.full_like(n12, n3.size)
     ends = np.cumsum(count)
     parts = []
     lo, done = 0, 0
@@ -253,16 +242,15 @@ def _node_step(children, N, restrict, bounds):
                     m1[j1] + m2[j2] + m3[j3],
                     w1[j1] + w2[j2] + w3[j3] + sig,
                     weight * c1[j1] * c2[j2] * c3[j3],
-                ),
-                bounds,
+                )
             )
         )
         lo, done = hi, int(ends[hi - 1])
     if not parts:
         z = np.empty(0, dtype=np.int64)
         return z, z, z, np.empty(0, dtype=np.complex128)
-    rows = parts[0] if len(parts) == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts)), bounds)
-    return _merge(_antiderivative(rows), bounds)
+    rows = parts[0] if len(parts) == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts)))
+    return _merge(_antiderivative(rows))
 
 
 def tree_term_table(
@@ -278,7 +266,10 @@ def tree_term_table(
     the node's time s.  A leaf gives the support of its datum with m = w
     = 0.  An internal node pairs its children's rows, keeps the admissible
     triples with their node weight and resonance frequency, merges rows by
-    (n, m, w) and takes the exact antiderivative from 0.  Summing over the
+    (n, m, w) and takes the exact antiderivative from 0.  The merge packs
+    (n, m, w) into one int64 key sized by the rows' own ranges and raises
+    ValueError if those ranges do not fit; the tree only fixes which node
+    steps run on which tables.  Summing over the
     pairings at every node sums over every admissible assignment of leaf
     modes, so the root's table is the tree operator.
 
@@ -298,7 +289,6 @@ def tree_term_table(
         raise ValueError("single-leaf tree has no table; handled by caller")
     if (2 * k + 1) * N >= (1 << 15):
         raise ValueError("mode range too large for int64 frequency arithmetic")
-    bounds = _key_bounds(tree, N)
 
     data = dict(zip(leaves, leaf_data))
     rows = {}
@@ -310,9 +300,9 @@ def tree_term_table(
             rows[v] = (support - N, zero, zero, data[v].values[support])
         else:
             kids = [rows.pop(c) for c in ch]
-            rows[v] = _node_step(kids, N, project_internal or v == 0, bounds)
+            rows[v] = _node_step(kids, N, project_internal or v == 0)
     n, m, w, c = rows[0]
-    return TermTable(tree, N, n + N, m, w, c)
+    return TermTable(N, n + N, m, w, c)
 
 
 def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
@@ -401,11 +391,9 @@ def apply_tree_operator_reference(
 # ---------------------------------------------------------------------------
 
 
-def majorant_apply(a1: CoeffSeq, a2: CoeffSeq, a3: CoeffSeq, s: float) -> CoeffSeq:
+def majorant_apply(a1: CoeffSeq, a2: CoeffSeq, a3: CoeffSeq) -> CoeffSeq:
     """Positive trilinear majorant: star sum of |n| <sigma>^{-1/2} products
     of moduli, plus the diagonal term |n| |a1(n) a2(n) a3(n)|."""
-    # s is accepted alongside the data for signature symmetry with the
-    # weighted-norm chain; the majorant itself carries no weight.
     N = a1.cutoff
     if a2.cutoff != N or a3.cutoff != N:
         raise ValueError("common cutoff required")
@@ -427,7 +415,7 @@ def majorant_apply(a1: CoeffSeq, a2: CoeffSeq, a3: CoeffSeq, s: float) -> CoeffS
     return CoeffSeq(N, (total + diag).astype(np.complex128))
 
 
-def majorant_tree(tree: TernaryTree, leaf_data, s: float) -> CoeffSeq:
+def majorant_tree(tree: TernaryTree, leaf_data) -> CoeffSeq:
     """Composition of the majorant over a tree: the subtree results feed the
     trilinear majorant at each internal node, leaves contribute their data's
     moduli.  Dominates the modulus of the exact tree operator mode by mode
@@ -442,7 +430,7 @@ def majorant_tree(tree: TernaryTree, leaf_data, s: float) -> CoeffSeq:
             d = leaf_data[pos[v]]
             return d.with_values(np.abs(d.values).astype(np.complex128))
         c1, c2, c3 = (walk(c) for c in tree.children[v])
-        return majorant_apply(c1, c2, c3, s)
+        return majorant_apply(c1, c2, c3)
 
     return walk(0)
 
@@ -450,17 +438,6 @@ def majorant_tree(tree: TernaryTree, leaf_data, s: float) -> CoeffSeq:
 # ---------------------------------------------------------------------------
 # convolution kernels and norm scans
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """One lattice sample of a kernel; value is 0 outside the kernel's
-    defining region and nonnegative everywhere."""
-
-    n1: int
-    n2: int
-    n3: int
-    value: float
 
 
 def _kernel_array(n1, n2, n3, s: float, which: str):
@@ -492,10 +469,6 @@ def kernel_value(n1: int, n2: int, n3: int, s: float, which: str = "full") -> fl
     return float(_kernel_array(n1, n2, n3, s, which))
 
 
-def kernel_point(n1: int, n2: int, n3: int, s: float, which: str = "full") -> KernelPoint:
-    return KernelPoint(n1, n2, n3, kernel_value(n1, n2, n3, s, which))
-
-
 _PAIRS = {(1, 2), (1, 3), (2, 3)}
 
 
@@ -513,18 +486,13 @@ def kernel_norm_scan(
     The two indices of ``pair`` run over the box [-M, M]^2 and the third is
     determined by n1+n2+n3 = n.  Since the slice is a single 2-parameter
     set, the pair choice only moves the truncation window.  p' is the
-    conjugate of the given p.
+    conjugate of the given p, which must lie in [1, inf].
     """
     if tuple(pair) not in _PAIRS:
         raise ValueError(f"pair must be one of {_PAIRS}")
     if M < abs(n):
         raise ValueError("M must be at least |n|")
-    if p == 1.0:
-        pc = math.inf
-    elif math.isinf(p):
-        pc = 1.0
-    else:
-        pc = p / (p - 1.0)
+    pc = NormIndex(s, p).p_conj
 
     free = np.arange(-M, M + 1, dtype=np.int64)
     total = 0.0

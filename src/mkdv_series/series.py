@@ -75,9 +75,6 @@ class SeriesSolution:
     warnings: tuple = field(default_factory=tuple)
     depth_values: np.ndarray | None = None  # [K+1, n_times, 2N+1]
 
-    def at_time(self, i: int) -> CoeffSeq:
-        return self.coeffs[i]
-
     @property
     def final(self) -> CoeffSeq:
         return self.coeffs[-1]
@@ -223,7 +220,9 @@ def ode_residual(
     The right-hand side is evaluated on the computed trajectory and
     integrated with the cumulative Simpson rule, so the value measures how
     well the truncated series satisfies its own integral equation.  The
-    grid must be uniform with at least 9 points starting at 0.
+    grid must be uniform with at least 9 points starting at 0.  ``cfg`` is
+    not read (the solution carries its own); it stays in the signature for
+    callers that pass it positionally.
     """
     times = sol.times
     if len(times) < 9:

@@ -222,3 +222,21 @@ def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p < 1 is no norm index, for the series norm or a kernel's p'
+        ["--experiment", "convergence", "--param", "p=0.5"],
+        ["--experiment", "kernel-norms", "--param", "p=0.5"],
+        # the residual's Simpson rule needs at least 9 grid points
+        ["--experiment", "residual", "--param", "grid_points=3"],
+        # the integral bounds hold for t in [0, 1]
+        ["--experiment", "lemma-bound", "--param", "t=[2.0]"],
+    ],
+)
+def test_refused_param_rejected_with_exit_2(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
+    assert not (out / "manifest.json").exists()

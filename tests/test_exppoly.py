@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mkdv_series import ExpPoly, ep_add, ep_eval, ep_integrate, ep_mul
+from mkdv_series import ExpPoly, ep_eval, ep_integrate, ep_mul
 
 
 def quad_complex(f, a, b):
@@ -16,10 +16,10 @@ def quad_complex(f, a, b):
 def test_add_identities():
     f = ExpPoly.exponential(1)
     zero = ExpPoly.zero()
-    assert ep_add(f, zero).terms == f.terms
-    double = ep_add(f, f)
+    assert ExpPoly.from_terms(f.terms + zero.terms).terms == f.terms
+    double = ExpPoly.from_terms(f.terms + f.terms)
     assert double.terms == ((2.0 + 0.0j, 0, 1),)
-    cancel = ep_add(f, ExpPoly.exponential(1, -1.0))
+    cancel = ExpPoly.from_terms(f.terms + ExpPoly.exponential(1, -1.0).terms)
     assert cancel.terms == ()
 
 
@@ -31,8 +31,8 @@ def test_mul_examples():
     f = ExpPoly.from_terms([(2.0, 1, 0), (1j, 0, -1)])
     assert ep_mul(f, ExpPoly.one()).terms == f.terms
     # (e^{is} - 1)(e^{-is} - 1) = 2 - e^{is} - e^{-is}
-    a = ep_add(ExpPoly.exponential(1), ExpPoly.from_terms([(-1.0, 0, 0)]))
-    b = ep_add(ExpPoly.exponential(-1), ExpPoly.from_terms([(-1.0, 0, 0)]))
+    a = ExpPoly.from_terms([(1.0, 0, 1), (-1.0, 0, 0)])
+    b = ExpPoly.from_terms([(1.0, 0, -1), (-1.0, 0, 0)])
     prod = ep_mul(a, b)
     expect = ExpPoly.from_terms([(2.0, 0, 0), (-1.0, 0, 1), (-1.0, 0, -1)])
     assert prod.terms == expect.terms
@@ -98,14 +98,13 @@ def test_integration_linear():
     g = ExpPoly.from_terms([(0.7, 0, 2), (2.0, 2, 0)])
     al, be = 1.5 - 0.5j, -2.0 + 1.0j
     lhs = ep_integrate(
-        ep_add(
-            ExpPoly.from_terms([(al * c, m, w) for c, m, w in f.terms]),
-            ExpPoly.from_terms([(be * c, m, w) for c, m, w in g.terms]),
+        ExpPoly.from_terms(
+            [(al * c, m, w) for c, m, w in f.terms] + [(be * c, m, w) for c, m, w in g.terms]
         )
     )
-    rhs = ep_add(
-        ExpPoly.from_terms([(al * c, m, w) for c, m, w in ep_integrate(f).terms]),
-        ExpPoly.from_terms([(be * c, m, w) for c, m, w in ep_integrate(g).terms]),
+    rhs = ExpPoly.from_terms(
+        [(al * c, m, w) for c, m, w in ep_integrate(f).terms]
+        + [(be * c, m, w) for c, m, w in ep_integrate(g).terms]
     )
     assert lhs.terms == rhs.terms
 
@@ -117,9 +116,6 @@ def test_normalization_rules():
         ExpPoly.from_terms([(1.0, 0, 0.5)])
     f = ExpPoly.from_terms([(1.0, 0, 2), (1.0, 0, 2), (0.0, 1, 1)])
     assert f.terms == ((2.0 + 0.0j, 0, 2),)
-
-
-def test_debug_serialization_sorted():
-    f = ExpPoly.from_terms([(1.0, 0, 5), (2.0, 1, -3), (3.0, 0, -3)])
-    quad_list = f.debug_list()
-    assert quad_list == sorted(quad_list, key=lambda q: (q[3], q[2]))
+    # terms are sorted by (freq, power)
+    g = ExpPoly.from_terms([(1.0, 0, 5), (2.0, 1, -3), (3.0, 0, -3)])
+    assert [(w, m) for _, m, w in g.terms] == [(-3, 0), (-3, 1), (5, 0)]

@@ -1,4 +1,5 @@
-"""Index assignments: the resonance arithmetic and leaf-driven enumeration."""
+"""Index assignments: the resonance arithmetic and the admission rule of
+build_assignment, swept over every tuple of leaf modes."""
 
 from itertools import product
 
@@ -7,7 +8,6 @@ import pytest
 
 from mkdv_series import (
     build_assignment,
-    enumerate_assignments,
     enumerate_trees,
     expansion_coefficient,
     sigma,
@@ -25,6 +25,22 @@ def brute_force_k1(n, N):
         if star or res:
             out.append((n1, n2, n3))
     return out
+
+
+def admitted(tree, N, root=None):
+    """Assignments build_assignment admits over every tuple of leaf modes in
+    [-N, N] (lexicographic order), optionally only those with root mode
+    ``root``."""
+    out = []
+    for modes in product(range(-N, N + 1), repeat=len(tree.leaves)):
+        a = build_assignment(tree, modes)
+        if a is not None and (root is None or a.j[0] == root):
+            out.append(a)
+    return out
+
+
+def leaf_modes(a):
+    return tuple(a.j[v] for v in a.tree.leaves)
 
 
 def test_sigma_examples():
@@ -51,14 +67,14 @@ def test_sigma_huge_inputs_exact():
 
 def test_single_leaf_assignment():
     leaf = enumerate_trees(0)[0]
-    got = list(enumerate_assignments(leaf, 3, 8))
+    got = admitted(leaf, 8, root=3)
     assert len(got) == 1 and got[0].j == (3,)
     assert expansion_coefficient(got[0]) == 1.0
 
 
 def test_k1_zero_mode_matches_brute_force():
     t1 = enumerate_trees(1)[0]
-    got = [a.leaf_modes() for a in enumerate_assignments(t1, 0, 1)]
+    got = [leaf_modes(a) for a in admitted(t1, 1, root=0)]
     assert got == brute_force_k1(0, 1)
     assert got == [(0, 0, 0)]  # only the degenerate resonant triple survives
 
@@ -66,46 +82,40 @@ def test_k1_zero_mode_matches_brute_force():
 def test_k1_counts_match_brute_force():
     t1 = enumerate_trees(1)[0]
     for n, N in ((1, 4), (0, 3), (3, 4), (-2, 5)):
-        got = [a.leaf_modes() for a in enumerate_assignments(t1, n, N)]
+        got = [leaf_modes(a) for a in admitted(t1, N, root=n)]
         assert got == brute_force_k1(n, N)
 
 
 def test_k1_enumeration_cardinality_formula():
-    # without internal projection the stream size equals the brute-force
-    # count over the (2N+1)^2 free leaf pairs
+    # 3N^2 + 3N + 1 - n^2 triples in [-N, N]^3 sum to n; 6N + [n = 0] of
+    # them have some n_j = n; the resonant (n, -n, n) comes back, except at
+    # n = 0 where it is (0, 0, 0) and was never removed
     t1 = enumerate_trees(1)[0]
     N = 5
+    by_root = {}
+    for a in admitted(t1, N):
+        by_root[a.j[0]] = by_root.get(a.j[0], 0) + 1
     for n in range(-N, N + 1):
-        assert len(list(enumerate_assignments(t1, n, N))) == len(brute_force_k1(n, N))
+        expect = 3 * N * N - 3 * N + 2 - n * n - (n == 0)
+        assert by_root.get(n, 0) == expect == len(brute_force_k1(n, N))
 
 
 def test_internal_values_consistent_and_root_matches():
     for k in (1, 2):
         for tree in enumerate_trees(k):
-            for a in enumerate_assignments(tree, 1, 2):
+            for a in admitted(tree, 2, root=1):
                 for v in tree.internal_nodes:
                     c1, c2, c3 = (a.j[c] for c in tree.children[v])
                     assert a.j[v] == c1 + c2 + c3
-                assert a.root_mode == 1
+                assert a.j[0] == sum(leaf_modes(a)) == 1
 
 
 def test_resonant_iff_sigma_zero():
     for k in (1, 2):
         for tree in enumerate_trees(k):
-            for a in enumerate_assignments(tree, 0, 2):
+            for a in admitted(tree, 2, root=0):
                 for s, r in zip(a.sigmas, a.resonant):
                     assert (s == 0) == r
-
-
-def test_project_internal_restricts():
-    chain = enumerate_trees(2)[0]
-    loose = list(enumerate_assignments(chain, 1, 2, project_internal=False))
-    tight = list(enumerate_assignments(chain, 1, 2, project_internal=True))
-    assert len(tight) < len(loose)
-    for a in tight:
-        assert all(abs(a.j[v]) <= 2 for v in a.tree.internal_nodes)
-    loose_modes = {a.leaf_modes() for a in loose}
-    assert all(a.leaf_modes() in loose_modes for a in tight)
 
 
 def test_mixed_sigma_zero_patterns_excluded():
@@ -113,12 +123,6 @@ def test_mixed_sigma_zero_patterns_excluded():
     t1 = enumerate_trees(1)[0]
     assert build_assignment(t1, (-2, 2, 2)) is None
     assert build_assignment(t1, (2, -2, 2)) is not None
-
-
-def test_lexicographic_order():
-    t1 = enumerate_trees(1)[0]
-    modes = [a.leaf_modes() for a in enumerate_assignments(t1, 1, 3)]
-    assert modes == sorted(modes)
 
 
 def test_expansion_coefficient_branches():
@@ -132,7 +136,7 @@ def test_expansion_coefficient_branches():
 def test_coefficient_bounded_by_mode_product():
     for k in (1, 2):
         for tree in enumerate_trees(k):
-            for a in enumerate_assignments(tree, 2, 3):
+            for a in admitted(tree, 3, root=2):
                 bound = np.prod([abs(a.j[v]) for v in tree.internal_nodes]) if k else 1.0
                 assert abs(expansion_coefficient(a)) <= bound + 1e-12
 
@@ -142,5 +146,4 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         build_assignment(t1, (1, 2))
     with pytest.raises(ValueError):
-        list(enumerate_assignments(t1, 0, -1))
-    assert list(enumerate_assignments(t1, 5, 3)) == []
+        build_assignment(t1, (1, 2, 3, 4))

@@ -12,7 +12,6 @@ from mkdv_series import (
     CoeffSeq,
     NormIndex,
     apply_tree_operator,
-    enumerate_assignments,
     enumerate_trees,
     integral_bound,
     integral_exact,
@@ -29,7 +28,6 @@ from mkdv_series.indexer import build_assignment, expansion_coefficient
 from mkdv_series.ops import (
     apply_tree_operator_reference,
     evaluate_term_table,
-    kernel_point,
     tree_integral_poly,
     tree_term_table,
 )
@@ -135,7 +133,7 @@ def test_fold_matches_scalar_integral_on_delta_data():
 
 def test_bound_examples():
     leaf = enumerate_trees(0)[0]
-    a0 = next(iter(enumerate_assignments(leaf, 0, 4)))
+    a0 = build_assignment(leaf, (0,))
     assert integral_bound(leaf, a0, 0.9, 16.0) == pytest.approx(1.0)
     res = build_assignment(T1, (5, -5, 5))
     assert integral_bound(T1, res, 0.25, 16.0) == pytest.approx(2.0)
@@ -210,15 +208,27 @@ def test_vectorized_matches_reference():
                     assert np.max(np.abs(fast.values - slow.values)) < 1e-13
 
 
-def test_key_range_overflow_rejected():
-    # (2k+1) N = 30000 passes the mode-range guard, but the frequency bound
-    # of a two-node tree makes the packed (mode, power, frequency) key
-    # overflow int64; the guard fires before any row is built
+def test_key_range_from_rows():
+    # (2k+1) N = 30000 passes the mode-range guard; the merge key is sized
+    # by the rows' own ranges, so a large cutoff with small occupied modes
+    # builds its table, and that table is the one assignment's term
     N = 6000
     d = CoeffSeq.delta(N, 1, 1.0)
+    a = build_assignment(CHAIN, (1,) * 5)
+    got = evaluate_term_table(tree_term_table(CHAIN, [d] * 5, N), [0.3])[0, a.j[0] + N]
+    want = expansion_coefficient(a) * ep_eval(tree_integral_poly(CHAIN, a.sigmas), 0.3)
+    assert abs(got - want) < 1e-13
+
+
+def test_key_range_overflow_rejected():
+    # modes +-1 and |w| = 2^61 span 3 (2^62 + 1) keys, past int64
+    one = np.ones(2, dtype=np.int64)
+    rows = (np.array([-1, 1]), 0 * one, np.array([2**61, -(2**61)]), one.astype(complex))
     with pytest.raises(ValueError, match="overflows int64"):
-        tree_term_table(CHAIN, [d] * 5, N)
-    assert tree_term_table(T1, [d] * 3, N).weights.size > 0
+        ops._merge(rows)
+    # a quarter of that frequency range fits
+    fits = (rows[0], rows[1], rows[2] // 4, rows[3])
+    assert ops._merge(fits)[2].tolist() == [2**59, -(2**59)]
 
 
 def test_operator_multilinear_in_each_slot():
@@ -261,9 +271,9 @@ def test_leaf_count_mismatch_rejected():
 
 def test_majorant_zero_and_deltas():
     z = CoeffSeq.zeros(3)
-    assert np.max(np.abs(majorant_apply(z, z, z, 0.5).values)) == 0.0
+    assert np.max(np.abs(majorant_apply(z, z, z).values)) == 0.0
     d = CoeffSeq.delta(3, 1, 1.0)
-    m = majorant_apply(d, d, d, 0.5)
+    m = majorant_apply(d, d, d)
     assert m[3] == pytest.approx(3.0 / math.sqrt(bracket(24)))
     assert m[1] == pytest.approx(1.0)
 
@@ -271,7 +281,7 @@ def test_majorant_zero_and_deltas():
 def test_majorant_permutation_symmetric_for_equal_hermitian_input():
     rng = np.random.default_rng(8)
     a = random_real_field(3, NormIndex(0.5, 2.0), 1.0, rng)
-    outs = [majorant_apply(*perm, 0.5).values for perm in ((a, a, a),)]
+    outs = [majorant_apply(*perm).values for perm in ((a, a, a),)]
     assert np.max(np.abs(outs[0] - outs[0])) == 0.0  # single distinct permutation
     # nonnegativity
     assert np.all(outs[0].real >= 0) and np.max(np.abs(outs[0].imag)) == 0.0
@@ -285,7 +295,7 @@ def test_majorant_dominates_tree_operator():
         for tree in enumerate_trees(k)[:4]:
             data = [random_real_field(N, idx, 0.7, rng) for _ in tree.leaves]
             out = apply_tree_operator(tree, data, t, N, True)
-            maj = majorant_tree(tree, data, 0.5)
+            maj = majorant_tree(tree, data)
             bound = (C * t) ** (k / 2.0) * maj.values.real
             assert np.all(np.abs(out.values) <= bound + 1e-14)
 
@@ -302,7 +312,7 @@ def test_majorant_norm_chain():
     for k in (1, 2, 3):
         for tree in enumerate_trees(k)[:4]:
             data = [random_real_field(N, idx, 1.0, rng) for _ in tree.leaves]
-            lhs = weighted_norm(majorant_tree(tree, data, 0.5), idx)
+            lhs = weighted_norm(majorant_tree(tree, data), idx)
             rhs = B**k * np.prod([weighted_norm(d, idx) for d in data])
             assert lhs <= rhs
 
@@ -333,13 +343,6 @@ def test_kernel_full_dual_path():
     )
     assert kernel_value(n1, n2, n3, s, "full") == pytest.approx(direct)
     assert sig == 180
-
-
-def test_kernel_point_record():
-    p = kernel_point(3, 6, -3, 0.5, "m1")
-    assert p.value == 0.0
-    q = kernel_point(5, -5, 5, 0.5, "m2")
-    assert q.value > 0.0
 
 
 def test_norm_scan_trivial_cases():

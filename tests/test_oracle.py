@@ -222,12 +222,3 @@ def test_picard_requires_uniform_grid_from_zero():
         picard_iterate(a0, np.linspace(0.01, 0.02, 17), 2)
     with pytest.raises(ValueError):
         picard_iterate(a0, np.array([0.0, 0.1, 0.15]), 2)
-
-
-def test_trajectory_csv_export():
-    a0 = CoeffSeq.cosine(2, 0.1)
-    traj = oracle_solve(a0, OracleConfig(2, 1e-3, "modified_mkdv", 2), 2e-3)
-    text = traj.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,n,re,im"
-    assert len(lines) == 1 + 3 * 5

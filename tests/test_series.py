@@ -19,8 +19,10 @@ from mkdv_series import (
     radius_certificate,
     solve_mkdv_gauged,
     solve_series,
+    enumerate_trees,
     weighted_norm,
 )
+from mkdv_series.ops import apply_tree_operator_reference
 from mkdv_series.spectral import gauge_shift, random_real_field
 
 
@@ -71,6 +73,28 @@ def test_depth_norms_scale_multilinearly():
     n2 = solve_series(a0.with_values(lam * a0.values), cfg).depth_norms[0]
     for k in range(4):
         assert n2[k] == pytest.approx(lam ** (2 * k + 1) * n1[k], rel=1e-12)
+
+
+def test_each_depth_is_the_reference_summed_over_trees():
+    # depth k sums every tree with k internal nodes; the scalar reference
+    # sums each tree assignment by assignment, one symbolic integral each
+    N, K, ts = 3, 3, (0.05, 0.3)
+    rng = np.random.default_rng(21)
+    v = np.zeros(2 * N + 1, dtype=np.complex128)
+    for n in (-2, 1, 3):
+        v[n + N] = rng.normal() + 1j * rng.normal()
+    a0 = CoeffSeq(N, v)
+    for project in (False, True):
+        sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
+        for k in range(1, K + 1):
+            for i, t in enumerate(ts):
+                ref = sum(
+                    apply_tree_operator_reference(tree, [a0] * len(tree.leaves), t, N, project).values
+                    for tree in enumerate_trees(k)
+                )
+                scale = np.max(np.abs(ref))
+                assert scale > 0.0
+                assert np.max(np.abs(sol.depth_values[k, i] - ref)) <= 1e-13 * scale
 
 
 def test_picard_equivalence():
