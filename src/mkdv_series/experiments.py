@@ -267,6 +267,8 @@ def _exp_kernel_norms(params, out, seed, jobs):
     assertions = []
     for key, bound, op in limits:
         if bound is not None:
+            if scan[0] == 0.0:
+                raise ExperimentError(f"{key} needs a nonzero norm at the first n, got 0 at n = {n_list[0]}")
             g, b = max(scan) / scan[0], float(bound)
             ok = g <= b if op == "<=" else g >= b
             assertions.append(_assert_row(f"norm growth over scan {op} {key}", g, b, ok))

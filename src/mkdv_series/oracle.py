@@ -1,45 +1,46 @@
 """Independent ground truth: classical time integration of the truncated
 Fourier ODE system.
 
-In the rotating frame a(n,t) = e^{in^3 t} u_hat(n,t) the mean-subtracted
-flow reads
+In the rotating frame a(n,t) = e^{in^3 t} u_hat(n,t), with the phases
+ph(n) = e^{-in^3 t} and b = ph a, the mean-subtracted flow reads
 
-    da(n)/dt = -(in/3) sum*_{n1+n2+n3=n} e^{i sigma t} a(n1) a(n2) a(n3)
+    da(n)/dt = -(in/3) conj(ph(n)) sum*_{n1+n2+n3=n} b(n1) b(n2) b(n3)
                + i n a(n) a(-n) a(n),
 
-with the star excluding triples where some n_j equals n, while the plain
-equation drops the mean subtraction and keeps the full derivative-weighted
-convolution.  All convolution sums are restricted to modes in [-N, N]
-(inputs and outputs), which is exactly the system the power series with
-projected internal modes expands; series-versus-oracle comparisons
-therefore have no modeling gap.
+with the star excluding triples where some n_j equals n (the resonance
+phase e^{i sigma t}, sigma = n^3 - n1^3 - n2^3 - n3^3, splits into the
+per-mode phases); the plain flow drops the mean subtraction and keeps the
+full derivative-weighted convolution -i conj(ph(n)) sum b(n1) b(n2) n3 b(n3).
+All sums are restricted to modes in [-N, N] (inputs and outputs), exactly
+the system the power series with projected internal modes expands, so
+series-versus-oracle comparisons have no modeling gap.
 
-The oscillatory phase e^{i sigma t} factors into per-mode cubic phases,
-b(n) = e^{-in^3 t} a(n), so each right-hand side is one cubic convolution
-of b (with n b as third factor in the plain flow) instead of a triple loop;
-the triple loop survives in the tests as the oracle's own oracle.  Below
-the cutoff ``_FFT_MIN_N`` = 56 the cubic convolution is two dense
-``np.convolve`` calls, O(N^2); at and above it, one zero-padded FFT of b
-(and one of n b) is cubed or multiplied and inverted, O(N log N).  The
-crossover is where the two routes cost the same per right-hand side on a
-2-core Xeon with numpy 2.4: at N = 56 the FFT is ~10% faster for the
-modified flow and ~5% slower for the plain one, at N = 256 ~4.5x faster
-for both.  The padded length L is the smallest 5-smooth integer
->= 4N + 1.  The linear convolution of three length-(2N+1) sequences has
-indices 0..6N and the kept modes |n| <= N sit at indices 2N..4N; a
-circular convolution of length L folds index j >= L onto j - L <= 6N - L,
-which stays below 2N, and so off the kept modes, exactly when L >= 4N + 1.
-A stack of T rows (``oracle_rhs_grid``: the residual and the Picard sweeps)
-always takes the FFT route, as one batched transform: at 9 and 65 rows,
-N from 1 to 55 and either flow it was never slower than a direct
-convolution per row, and up to ~6x faster at 65 rows (same machine).  The
-crossover above is for the one-row right-hand side of RK4.
+The mean-subtracted right-hand side is computed in the gauge form
+-(in/3) conj(ph(n)) sum_{n1+n2+n3=n} b(n1) b(n2) b(n3) + i n S a(n), with
+S = sum_k a(k) a(-k).  It is exact: by inclusion-exclusion the star drops
+3 b(n) sum_k b(k) b(-k) - 3 b(n)^2 b(-n) (and b(0)^3 at n = 0, where -in/3
+vanishes); the cubes are odd, so ph(-k) = conj(ph(k)) and
+b(k) b(-k) = a(k) a(-k), hence the first part gives i n S a(n) and the
+second, -i n a(n)^2 a(-n), cancels the resonant diagonal.  The plain flow
+keeps its own convolution, not modified - i n S a, so that the gauge check
+between the flows (``gauge-check``, the benchmark's oracle-rk4 check)
+compares two differently written convolutions.  The triple loop survives
+in the tests as the oracle's own oracle.
 
-Time stepping is classical RK4 on the rotating-frame increment
-y(t) = a(t) - a(0), with the phases evaluated from absolute time (no
-per-step phase accumulation) once per distinct stage time, and the
-increment update is compensated to keep round-off from random-walking
-across long runs.
+Below ``_FFT_MIN_N`` = 56 a one-row cubic convolution is two dense
+``np.convolve`` calls, O(N^2); at and above it, and for any stack of rows
+(``oracle_rhs_grid``), one FFT of b (and of n b), zero-padded to the least
+5-smooth L >= 4N + 1, is cubed or multiplied and inverted, O(N log N).  The
+kept modes sit at indices 2N..4N of the linear convolution (0..6N), and
+length L folds j >= L onto j - L <= 6N - L < 2N exactly when L >= 4N + 1.
+On a 2-core Xeon with numpy 2.4 (median of 15 interleaved runs) one-row
+routes break even near N = 64-72 (modified flow) and 90 (plain): at N = 56
+the FFT is ~13% and ~50% slower, at N = 256 ~3.7x and ~3x faster.  Stacks
+of 9 and 65 rows, N = 1..55, were never slower by FFT than row by row
+direct, and up to ~6x faster at 65 rows.
+
+Classical RK4 steps the increment y(t) = a(t) - a(0), with phase factors
+formed from absolute time once per stage time and a compensated update.
 """
 
 from __future__ import annotations
@@ -133,67 +134,66 @@ def _fft_length(n: int) -> int:
 def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """sum_{n1+n2+n3=n} b(n1) b(n2) c(n3) for the kept modes |n| <= N,
     along the last axis; c defaults to b (the plain cube).  One row below
-    the crossover convolves directly; a stack of rows always goes through
+    the cutoff convolves directly; a stack of rows always goes through
     the FFT."""
     N = (b.shape[-1] - 1) // 2
     if b.ndim == 1 and N < _FFT_MIN_N:
-        return np.convolve(np.convolve(b, b), b if c is None else c)[2 * N : 4 * N + 1]
+        # "valid" keeps exactly the full convolution's indices 2N..4N
+        return np.convolve(np.convolve(b, b), b if c is None else c, "valid")
     L = _fft_length(4 * N + 1)
     fb = np.fft.fft(b, L)
     fc = fb if c is None else np.fft.fft(c, L)
     return np.fft.ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
 
 
-def _rhs(values: np.ndarray, ph: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
-    """Right-hand side along the last axis, given the phases e^{-in^3 t}."""
-    phc = np.conj(ph)
+def _rhs(values: np.ndarray, ph: np.ndarray, wphc: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
+    """Right-hand side along the last axis, given the phases ph = e^{-in^3 t}
+    and the flow's weight times their conjugate (see :func:`_flow`)."""
     b = ph * values                        # frame-unrotated coefficients
     if equation == "mkdv":
-        return -1j * phc * _cubic_conv(b, modes * b)
-    # mean-subtracted flow: the star sum drops the triples with some n_j = n
-    # by inclusion-exclusion, 3 b(n) sum_k b(k) b(-k) less the 3 b(n)^2 b(-n)
-    # counted twice; the triple overlap b(0)^3 at n = 0 is left in because
-    # the weight -in/3 vanishes there.  Plus the resonant diagonal.
-    rev = b[..., ::-1]
-    pair = b * rev                         # b(k) b(-k)
-    star = _cubic_conv(b) - 3.0 * b * (pair.sum(axis=-1, keepdims=True) - pair)
-    resonant = 1j * modes * values * values[..., ::-1] * values
-    return (-1j / 3.0) * modes * phc * star + resonant
+        return wphc * _cubic_conv(b, modes * b)
+    rev = values[..., ::-1]                # gauge form; S = sum_k a(k) a(-k)
+    S = values @ rev if values.ndim == 1 else np.sum(values * rev, axis=-1, keepdims=True)
+    return wphc * _cubic_conv(b) + (1j * S) * (modes * values)
 
 
-def _modes(N: int) -> tuple[np.ndarray, np.ndarray]:
-    modes = np.arange(-N, N + 1)
-    return modes, modes.astype(float) ** 3
-
-
-def _check_equation(equation: str) -> None:
+def _flow(N: int, equation: str):
+    """Modes -N..N and t -> (phases e^{-in^3 t}, their conjugate times the
+    flow's weight), the weight being -in/3 (mean-subtracted) or -i (plain)."""
     if equation not in _EQUATIONS:
         raise ValueError(f"equation must be one of {_EQUATIONS}")
+    modes = np.arange(-N, N + 1)
+    exponents = -1j * modes.astype(float) ** 3
+    weight = (-1j / 3.0) * modes if equation == "modified_mkdv" else -1j
+
+    def phases(t):
+        ph = np.exp(exponents * t)
+        return ph, weight * ph.conj()
+
+    return modes, phases
 
 
 def oracle_rhs(a: CoeffSeq, equation: str = "modified_mkdv", t: float = 0.0) -> CoeffSeq:
     """Right-hand side of the rotating-frame system at absolute time t."""
-    _check_equation(equation)
-    modes, cubes = _modes(a.cutoff)
-    return a.with_values(_rhs(a.values, np.exp(-1j * cubes * t), modes, equation))
+    modes, phases = _flow(a.cutoff, equation)
+    return a.with_values(_rhs(a.values, *phases(t), modes, equation))
 
 
 def oracle_rhs_grid(values: np.ndarray, times: np.ndarray, equation: str = "modified_mkdv") -> np.ndarray:
     """Right-hand side of every row of a [T, 2N+1] stack: row i holds the
     rotating-frame coefficients (modes -N..N) at absolute time times[i]."""
-    _check_equation(equation)
     values = np.asarray(values, dtype=np.complex128)
     times = np.asarray(times, dtype=float)
     if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2 == 0:
         raise ValueError("values must be a [len(times), 2N+1] stack")
-    modes, cubes = _modes(values.shape[1] // 2)
-    return _rhs(values, np.exp(-1j * np.outer(times, cubes)), modes, equation)
+    modes, phases = _flow(values.shape[1] // 2, equation)
+    return _rhs(values, *phases(times[:, None]), modes, equation)
 
 
 def rhs_route(N: int) -> dict:
     """Manifest record: the cutoff N, which cubic convolution the
-    right-hand side uses there, and the crossover cutoff at which it
-    switches from direct to FFT."""
+    right-hand side uses there, and the cutoff at which it switches from
+    direct to FFT."""
     return {"cutoff": N, "rhs_route": "fft" if N >= _FFT_MIN_N else "direct", "fft_min_n": _FFT_MIN_N}
 
 
@@ -203,30 +203,30 @@ def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
         raise ValueError("initial data cutoff must match the configuration")
     cfg.check_run(t)
     N, dt, eq = cfg.N, cfg.dt, cfg.equation
-    modes, cubes = _modes(N)
+    modes, phases = _flow(N, eq)
+    half, sixth = 0.5 * dt, dt / 6.0
     base = a0.values
     out = np.empty((cfg.steps + 1, 2 * N + 1), dtype=np.complex128)
     times = np.arange(cfg.steps + 1) * dt
     y = np.zeros_like(base)
     comp = np.zeros_like(base)             # Kahan carry for the increment sum
     out[0] = y
-    # phases at the three stage times; the end phase of step m is the start
-    # phase of step m + 1
-    ph_start = np.ones_like(base)
+    # phase factors at the stage times; a step's end ones start the next
+    ph, wphc = phases(0.0)
     for m in range(cfg.steps):
-        ph_mid = np.exp(-1j * cubes * (times[m] + 0.5 * dt))
-        ph_end = np.exp(-1j * cubes * times[m + 1])
-        k1 = _rhs(base + y, ph_start, modes, eq)
-        k2 = _rhs(base + (y + 0.5 * dt * k1), ph_mid, modes, eq)
-        k3 = _rhs(base + (y + 0.5 * dt * k2), ph_mid, modes, eq)
-        k4 = _rhs(base + (y + dt * k3), ph_end, modes, eq)
-        incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ph_mid, wphc_mid = phases(times[m] + half)
+        ph_end, wphc_end = phases(times[m + 1])
+        k1 = _rhs(base + y, ph, wphc, modes, eq)
+        k2 = _rhs(base + (y + half * k1), ph_mid, wphc_mid, modes, eq)
+        k3 = _rhs(base + (y + half * k2), ph_mid, wphc_mid, modes, eq)
+        k4 = _rhs(base + (y + dt * k3), ph_end, wphc_end, modes, eq)
+        incr = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         yy = incr - comp
         s = y + yy
         comp = (s - y) - yy
         y = s
         out[m + 1] = y
-        ph_start = ph_end
+        ph, wphc = ph_end, wphc_end
     return Trajectory(N, times, out)
 
 

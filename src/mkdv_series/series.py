@@ -74,6 +74,7 @@ class SeriesSolution:
     beyond_certificate: np.ndarray  # bool per time
     warnings: tuple = field(default_factory=tuple)
     depth_values: np.ndarray | None = None  # [K+1, n_times, 2N+1]
+    gauge_mass: float = 0.0       # c of a plain-flow solution's phase e^{-inct}
 
     @property
     def final(self) -> CoeffSeq:
@@ -82,11 +83,21 @@ class SeriesSolution:
     def increment_at(self, i: int) -> CoeffSeq:
         """The solution minus the initial data, summed directly over the
         depth >= 1 terms so the small increment is never computed as a
-        difference of order-one values."""
+        difference of order-one values.
+
+        A plain-flow solution is e^{i theta} times the mean-subtracted one,
+        theta = -nct, so its increment is (e^{i theta} - 1) a0 + e^{i theta}
+        times the depth sum; the first factor is formed as
+        2i sin(theta/2) e^{i theta/2} so that it does not cancel either.
+        For the mean-subtracted flow (c = 0) the depth sum comes back
+        unchanged."""
         if self.depth_values is None:
             raise ValueError("per-depth values were not retained")
         vals = self.depth_values[1:, i, :].sum(axis=0)
-        return CoeffSeq(self.config.N, vals)
+        a0 = CoeffSeq(self.config.N, self.depth_values[0, i])
+        theta = a0.modes * (_GAUGE_SIGN * self.gauge_mass * self.times[i])
+        half = np.exp(0.5j * theta)
+        return a0.with_values(half * (2j * np.sin(0.5 * theta) * a0.values + half * vals))
 
     def to_json_dict(self) -> dict:
         p = self.config.norm.p
@@ -206,6 +217,8 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
         sol.t_max,
         sol.beyond_certificate,
         sol.warnings,
+        depth_values=sol.depth_values,
+        gauge_mass=c,
     )
 
 

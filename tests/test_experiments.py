@@ -234,6 +234,9 @@ def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
         ["--experiment", "residual", "--param", "grid_points=3"],
         # the integral bounds hold for t in [0, 1]
         ["--experiment", "lemma-bound", "--param", "t=[2.0]"],
+        # the growth ratio divides by the first norm, and the m1 kernel's
+        # norm at n = 0 is exactly 0
+        ["--experiment", "kernel-norms", "--param", "n=[0,4]", "--param", "growth_max=10"],
     ],
 )
 def test_refused_param_rejected_with_exit_2(tmp_path, argv):

@@ -60,6 +60,41 @@ def test_rhs_matches_triple_loop():
         assert np.max(np.abs(fast - slow)) < 1e-13 * np.max(np.abs(slow))
 
 
+@pytest.mark.parametrize("N", [0, 1, 2, 4, 7])
+def test_rhs_matches_triple_loop_across_cutoffs(N):
+    rng = np.random.default_rng(100 + N)
+    times = np.array([0.0, 0.37, 1.3])
+    stack = rng.normal(size=(3, 2 * N + 1)) + 1j * rng.normal(size=(3, 2 * N + 1))
+    for eq in ("modified_mkdv", "mkdv"):
+        slow = np.stack([brute_rhs(v, t, N, eq) for v, t in zip(stack, times)])
+        rows = np.stack([oracle_rhs(CoeffSeq(N, v), eq, t).values for v, t in zip(stack, times)])
+        grid = oracle_rhs_grid(stack, times, eq)
+        for fast in (rows, grid):
+            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+
+
+def test_rk4_matches_textbook_steps_on_triple_loop():
+    # classical RK4 written out on the triple-loop right-hand side pins the
+    # stage times, phases and weights of the increment loop
+    N, dt, steps = 3, 0.01, 20
+    rng = np.random.default_rng(7)
+    vals = 0.5 * (rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
+    for eq in ("modified_mkdv", "mkdv"):
+        f = lambda t, a: brute_rhs(a, t, N, eq)
+        a, ref = vals.copy(), [np.zeros_like(vals)]
+        for m in range(steps):
+            t = m * dt
+            k1 = f(t, a)
+            k2 = f(t + dt / 2, a + dt / 2 * k1)
+            k3 = f(t + dt / 2, a + dt / 2 * k2)
+            k4 = f(t + dt, a + dt * k3)
+            a = a + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            ref.append(a - vals)
+        ref = np.array(ref)
+        got = oracle_solve_increment(CoeffSeq(N, vals), OracleConfig(N, dt, eq, steps), steps * dt).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_modified_equals_plain_plus_mean_term():
     rng = np.random.default_rng(1)
     N = 5
