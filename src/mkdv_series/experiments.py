@@ -130,6 +130,8 @@ def _assert_row(name, value, threshold, passed):
 
 
 def _fmt(x) -> str:
+    if isinstance(x, np.generic):  # numpy scalars print as np.float64(...)
+        x = x.item()
     if isinstance(x, float):
         return repr(x)
     return str(x)

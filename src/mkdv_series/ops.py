@@ -12,11 +12,16 @@ Two evaluation paths exist deliberately:
 * a scalar path on :class:`~mkdv_series.exppoly.ExpPoly`, one integral per
   (tree shape, per-node frequency profile), with the operator summed
   assignment by assignment; it is the readable reference; and
-* the fold used by the solver: one trilinear node step, applied bottom-up
-  over the tree, carries each node's value as rows (mode, power,
-  frequency, coefficient) of an exponential polynomial in time, so the
-  sum over assignments is taken node by node rather than over the
-  (2N+1)^(2k+1) grid of leaf modes.
+* the fold: one trilinear node step carries a node's value as rows
+  (mode, power, frequency, coefficient) of an exponential polynomial in
+  time, so the sum over assignments is taken node by node rather than
+  over the (2N+1)^(2k+1) grid of leaf modes.  Two drivers apply it.
+  ``tree_term_table`` folds it bottom-up over one tree.
+  ``depth_term_tables``, the solver's driver, uses the node step's
+  trilinearity instead: the sum A_k of every tree with k internal nodes
+  is the node step on (A_k1, A_k2, A_k3), summed over k1+k2+k3 = k-1,
+  so each depth costs (k+1)k/2 node steps on the lower depths' tables and
+  no subtree is folded twice.
 
 The two paths are cross-checked in the test suite.
 """
@@ -42,6 +47,7 @@ __all__ = [
     "parity_bound",
     "apply_tree_operator",
     "tree_term_table",
+    "depth_term_tables",
     "evaluate_term_table",
     "apply_tree_operator_reference",
     "majorant_apply",
@@ -253,6 +259,19 @@ def _node_step(children, N, restrict):
     return _merge(_antiderivative(rows))
 
 
+def _check_mode_range(k, N):
+    # node frequencies grow like the cube of the mode range (2k+1)N
+    if (2 * k + 1) * N >= (1 << 15):
+        raise ValueError("mode range too large for int64 frequency arithmetic")
+
+
+def _support_rows(seq):
+    """A datum as a leaf's rows: its support, with m = w = 0."""
+    support = np.nonzero(seq.values)[0]
+    zero = np.zeros(support.size, dtype=np.int64)
+    return support - seq.cutoff, zero, zero, seq.values[support]
+
+
 def tree_term_table(
     tree: TernaryTree,
     leaf_data,
@@ -287,22 +306,54 @@ def tree_term_table(
     k = tree.internal_count
     if k == 0:
         raise ValueError("single-leaf tree has no table; handled by caller")
-    if (2 * k + 1) * N >= (1 << 15):
-        raise ValueError("mode range too large for int64 frequency arithmetic")
+    _check_mode_range(k, N)
 
     data = dict(zip(leaves, leaf_data))
     rows = {}
     for v in range(tree.size - 1, -1, -1):  # preorder ids: children after parents
         ch = tree.children[v]
         if ch is None:
-            support = np.nonzero(data[v].values)[0]
-            zero = np.zeros(support.size, dtype=np.int64)
-            rows[v] = (support - N, zero, zero, data[v].values[support])
+            rows[v] = _support_rows(data[v])
         else:
             kids = [rows.pop(c) for c in ch]
             rows[v] = _node_step(kids, N, project_internal or v == 0)
     n, m, w, c = rows[0]
     return TermTable(N, n + N, m, w, c)
+
+
+def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> list:
+    """The tables of depths 0..K: depth k sums every tree with k internal
+    nodes applied to a0 on all leaves.
+
+    A tree with k internal nodes is a root over three subtrees with
+    k1+k2+k3 = k-1 internal nodes, and the node step is trilinear, so
+    the depth-k sum is A_k = sum over those (k1, k2, k3) of the node step
+    on (A_k1, A_k2, A_k3), with A_0 the support of a0.  Each depth is
+    folded once from the lower depths' tables.
+
+    Without ``project_internal`` a lower depth feeds later node steps
+    with its modes up to (2k+1)N, so A_k is kept whole and its table keeps
+    the rows with |n| <= N; only depth K restricts its own node steps.
+    With it, every node step restricts.  The mode-range ValueError is
+    raised before any node step runs.
+    """
+    N = a0.cutoff
+    if K > 0:
+        _check_mode_range(K, N)
+    A = [_support_rows(a0)]
+    for k in range(1, K + 1):
+        restrict = project_internal or k == K
+        parts = [
+            _node_step((A[k1], A[k2], A[k - 1 - k1 - k2]), N, restrict)
+            for k1 in range(k)
+            for k2 in range(k - k1)
+        ]
+        A.append(parts[0] if k == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts))))
+    tables = []
+    for n, m, w, c in A:
+        keep = np.abs(n) <= N
+        tables.append(TermTable(N, n[keep] + N, m[keep], w[keep], c[keep]))
+    return tables
 
 
 def evaluate_term_table(table: TermTable, ts) -> np.ndarray:

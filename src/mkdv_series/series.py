@@ -2,10 +2,13 @@
 term up to a depth cap, with a geometric-convergence certificate and an
 integral-equation residual diagnostic.
 
-Each tree term is built once as a table of exponential-polynomial rows
-(mode, power, frequency, coefficient) by folding one trilinear node step
-up the tree; the table does not depend on time, so one solve evaluates the
-whole time grid at the cost of one pass over the rows per time.
+The terms are summed depth by depth, not tree by tree.  Depth k's sum is
+one table of exponential-polynomial rows (mode, power, frequency,
+coefficient), folded once from the lower depths' tables by the trilinear
+node step (Christ's recursion: the node on every triple of lower depths
+whose depths add to k-1).  A table does not depend on time, so one solve
+evaluates the whole time grid at the cost of one pass over each depth's
+rows per time.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import numpy as np
 
 from .oracle import cumulative_simpson, oracle_rhs_grid, uniform_spacing
 from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, weighted_norm
-from .trees import enumerate_trees
-from .ops import evaluate_term_table, tree_term_table
+from .ops import depth_term_tables, evaluate_term_table
 
 __all__ = [
     "SeriesConfig",
@@ -75,6 +77,7 @@ class SeriesSolution:
     warnings: tuple = field(default_factory=tuple)
     depth_values: np.ndarray | None = None  # [K+1, n_times, 2N+1]
     gauge_mass: float = 0.0       # c of a plain-flow solution's phase e^{-inct}
+    depth_rows: tuple = ()        # rows of each depth's table, depths 0..K
 
     @property
     def final(self) -> CoeffSeq:
@@ -119,6 +122,7 @@ class SeriesSolution:
                 "within_radius": (~self.beyond_certificate).tolist(),
             },
             "warnings": list(self.warnings),
+            "depth_rows": list(self.depth_rows),
         }
 
 
@@ -147,9 +151,12 @@ def lipschitz_envelope(R: float, C: float, t: float, K: int | None = None) -> fl
 def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     """Sum the tree expansion up to depth K on the configured time grid.
 
-    Depth zero is the initial data itself; each deeper level adds every
-    tree with that many internal nodes applied to the initial data on all
-    leaves.  Per-depth term norms and the certificate radius are recorded.
+    Depth zero is the initial data itself; depth k is every tree with k
+    internal nodes applied to the initial data on all leaves.  Each depth
+    is one table, folded once from the lower depths' tables
+    (``depth_term_tables``) and evaluated once on the whole grid.
+    Per-depth term norms, table rows and the certificate radius are
+    recorded.
     """
     if a0.cutoff != cfg.N:
         raise ValueError("initial data cutoff must equal the configured N")
@@ -157,14 +164,11 @@ def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     T = len(times)
     width = 2 * cfg.N + 1
 
+    tables = depth_term_tables(a0, cfg.K, cfg.project_internal)
     depth_vals = np.zeros((cfg.K + 1, T, width), dtype=np.complex128)
     depth_vals[0] = np.tile(a0.values, (T, 1))
     for k in range(1, cfg.K + 1):
-        for tree in enumerate_trees(k):
-            table = tree_term_table(
-                tree, [a0] * len(tree.leaves), cfg.N, cfg.project_internal
-            )
-            depth_vals[k] += evaluate_term_table(table, times)
+        depth_vals[k] = evaluate_term_table(tables[k], times)
 
     totals = depth_vals.sum(axis=0)
     coeffs = [CoeffSeq(cfg.N, totals[i].copy()) for i in range(T)]
@@ -194,6 +198,7 @@ def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
         beyond,
         warnings,
         depth_values=depth_vals,
+        depth_rows=tuple(int(t.weights.size) for t in tables),
     )
 
 
@@ -219,6 +224,7 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
         sol.warnings,
         depth_values=sol.depth_values,
         gauge_mass=c,
+        depth_rows=sol.depth_rows,
     )
 
 

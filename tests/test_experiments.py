@@ -243,3 +243,20 @@ def test_refused_param_rejected_with_exit_2(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, params, csv_name",
+    [
+        ("convergence", {"N": 3, "K": 2, "R": [0.5, 1.0]}, "convergence.csv"),
+        ("gauge-check", {"N": 4, "t": 0.01, "dt": 1e-3, "tol": 1e-8}, "gauge_check.csv"),
+    ],
+)
+def test_csv_cells_are_plain_numbers(tmp_path, kind, params, csv_name):
+    # numpy scalars must not reach the CSV as "np.float64(...)"
+    assert run_experiment(ExperimentSpec(kind, params), str(tmp_path)) == EXIT_OK
+    lines = (tmp_path / csv_name).read_text().splitlines()
+    assert len(lines) > 1
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)

@@ -23,7 +23,13 @@ from mkdv_series import (
     enumerate_trees,
     weighted_norm,
 )
-from mkdv_series.ops import apply_tree_operator_reference
+from mkdv_series import ops
+from mkdv_series.ops import (
+    apply_tree_operator_reference,
+    depth_term_tables,
+    evaluate_term_table,
+    tree_term_table,
+)
 from mkdv_series.spectral import gauge_shift, random_real_field
 
 
@@ -96,6 +102,83 @@ def test_each_depth_is_the_reference_summed_over_trees():
                 scale = np.max(np.abs(ref))
                 assert scale > 0.0
                 assert np.max(np.abs(sol.depth_values[k, i] - ref)) <= 1e-13 * scale
+
+
+def test_graded_depths_match_per_tree_tables():
+    # route against route: the graded fold (one table per depth) against
+    # the per-tree fold summed over every tree of that depth, in values and
+    # in the rows left after merging the per-tree tables.  Below t ~ 0.1
+    # both routes lose digits to the expanded rows' small-time cancellation
+    # (depth 4, projected: 5e-14 apart at t = 0.05, 7e-13 at t = 0.02),
+    # which is not what this test is about.
+    N, K, ts = 3, 4, (0.1, 0.3)
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+    v[[0, N - 1, N + 2]] = 0.0
+    a0 = CoeffSeq(N, v)
+    for project in (False, True):
+        sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
+        assert sol.depth_rows[0] == np.count_nonzero(v)
+        for k in range(1, K + 1):
+            tables = [
+                tree_term_table(tree, [a0] * len(tree.leaves), N, project)
+                for tree in enumerate_trees(k)
+            ]
+            ref = sum(evaluate_term_table(table, ts) for table in tables)
+            scale = np.max(np.abs(ref), axis=1)
+            assert np.all(scale > 0.0)
+            gap = np.max(np.abs(sol.depth_values[k] - ref), axis=1)
+            assert np.all(gap <= 1e-13 * scale)
+            merged = ops._merge(
+                tuple(
+                    np.concatenate(col)
+                    for col in zip(*((t.root_idx, t.powers, t.freqs, t.weights) for t in tables))
+                )
+            )
+            assert sol.depth_rows[k] == merged[0].size
+
+
+def test_graded_projection_on_with_delta_at_cutoff_is_empty():
+    # every triple of the one mode N leaves the cutoff, so each depth's
+    # table is empty and the solve adds nothing to the data
+    N, K = 3, 4
+    a0 = CoeffSeq.delta(N, N, 0.7)
+    sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=(0.1, 0.5), project_internal=True))
+    assert sol.depth_rows == (1, 0, 0, 0, 0)
+    assert np.max(np.abs(sol.depth_values[1:])) == 0.0
+    for c in sol.coeffs:
+        assert np.array_equal(c.values, a0.values)
+
+
+def test_graded_depth_zero_is_the_data_alone():
+    a0 = cosine_data(N=4)
+    (table,) = depth_term_tables(a0, 0)
+    assert np.array_equal(table.root_idx, np.nonzero(a0.values)[0])
+    assert np.array_equal(table.weights, a0.values[table.root_idx])
+    sol = solve_series(a0, SeriesConfig(N=4, K=0, t_grid=(0.2,)))
+    assert sol.depth_rows == (2,)
+    assert np.array_equal(sol.final.values, a0.values)
+
+
+def test_graded_mode_range_guard_before_any_node_step(monkeypatch):
+    # (2K+1) N = 33000 >= 2^15; depths 1-4 alone would fit
+    def no_step(*args):
+        raise AssertionError("node step ran before the mode-range guard")
+
+    monkeypatch.setattr(ops, "_node_step", no_step)
+    a0 = CoeffSeq.delta(3000, 1, 1.0)
+    with pytest.raises(ValueError, match="mode range"):
+        solve_series(a0, SeriesConfig(N=3000, K=5, t_grid=(0.01,)))
+
+
+def test_depth_rows_reported_and_carried_by_the_gauge():
+    a0 = cosine_data(N=4, eps=0.2)
+    cfg = SeriesConfig(N=4, K=2, t_grid=(0.03,))
+    sol = solve_series(a0, cfg)
+    assert len(sol.depth_rows) == 3 and all(r > 0 for r in sol.depth_rows)
+    d = json.loads(json.dumps(sol.to_json_dict()))
+    assert d["depth_rows"] == list(sol.depth_rows)
+    assert solve_mkdv_gauged(a0, cfg).depth_rows == sol.depth_rows
 
 
 def test_picard_equivalence():
