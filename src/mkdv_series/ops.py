@@ -15,13 +15,16 @@ Two evaluation paths exist deliberately:
 * the fold: one trilinear node step carries a node's value as rows
   (mode, power, frequency, coefficient) of an exponential polynomial in
   time, so the sum over assignments is taken node by node rather than
-  over the (2N+1)^(2k+1) grid of leaf modes.  Two drivers apply it.
-  ``tree_term_table`` folds it bottom-up over one tree.
-  ``depth_term_tables``, the solver's driver, uses the node step's
-  trilinearity instead: the sum A_k of every tree with k internal nodes
-  is the node step on (A_k1, A_k2, A_k3), summed over k1+k2+k3 = k-1,
-  so each depth costs (k+1)k/2 node steps on the lower depths' tables and
-  no subtree is folded twice.
+  over the (2N+1)^(2k+1) grid of leaf modes.  The node step takes a list
+  of child-table triples and sums them, and two drivers call it.
+  ``tree_term_table`` folds it bottom-up over one tree, one triple per
+  node.  ``depth_term_tables``, the solver's driver, uses trilinearity
+  instead: the sum A_k of every tree with k internal nodes is one node
+  step on the (k+1)k/2 triples (A_k1, A_k2, A_k3) with k1+k2+k3 = k-1,
+  so no subtree is folded twice.  Both drivers bound the modes a node
+  keeps by one rule: N with internal projection, otherwise (L - l + 1) N
+  for a node over l of the tree's L leaves (2K+1 in the depth driver),
+  the only modes the other leaves can bring back to |n| <= N at the root.
 
 The two paths are cross-checked in the test suite.
 """
@@ -137,6 +140,8 @@ def parity_bound(tree: TernaryTree, a: IndexAssignment, t: float) -> float:
 # Elements per vectorized block (row triples in a node step, rows x times in
 # an evaluation); bounds temporary memory.
 _BLOCK = 1 << 16
+# Rows of the (2M+1)^2 box a kernel norm scan evaluates at once.
+_SCAN_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -207,55 +212,60 @@ def _antiderivative(rows):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _node_step(children, N, restrict):
-    """One trilinear node: pair the children's rows and keep the triples
-    that are resonant (j, -j, j) or star with output mode n != 0 (and
-    |n| <= N when ``restrict``); weight them +in or -in/3, add powers, and
-    add frequencies plus sigma = 3 (n1+n2)(n2+n3)(n3+n1); then merge and
-    integrate from 0.  The children are (n, m, w, c) row tables sorted by
-    mode, and the step reads nothing else: it does not depend on the tree
-    the children come from."""
-    (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
-    i1, i2 = np.divmod(np.arange(n1.size * n2.size), n2.size)
-    n12 = n1[i1] + n2[i2]
-    if restrict:
+def _mode_bound(N, L, leaves, project_internal):
+    """Largest |n| a node over ``leaves`` of a tree's L leaves can pass on:
+    the other L - leaves leaves bring at most N each, so a larger mode
+    cannot come back to |n| <= N at the root.  N at the root itself, and
+    N everywhere with ``project_internal``."""
+    return N if project_internal else (L - leaves + 1) * N
+
+
+def _node_step(triples, bound):
+    """One trilinear node on a list of child-table triples, summed: pair
+    each triple's rows and keep the products that are resonant (j, -j, j)
+    or star with output mode 0 < |n| <= bound; weight them +in or -in/3,
+    add powers, and add frequencies plus sigma = 3 (n1+n2)(n2+n3)(n3+n1);
+    then sum them over the triples and integrate from 0 once.  The children
+    are (n, m, w, c) row tables sorted by mode, and the step reads nothing
+    else: it does not depend on the trees the children come from."""
+    rows = tuple(col[:0] for col in triples[0][0])  # empty, in the children's dtypes
+    for (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) in triples:
+        i1, i2 = np.divmod(np.arange(n1.size * n2.size), n2.size)
+        n12 = n1[i1] + n2[i2]
         # rows come sorted by mode (the leading digit of the merge key), so
-        # the third child's rows that keep |n| <= N are contiguous
-        start = np.searchsorted(n3, -N - n12, "left")
-        count = np.searchsorted(n3, N - n12, "right") - start
-    else:
-        start, count = np.zeros_like(n12), np.full_like(n12, n3.size)
-    ends = np.cumsum(count)
-    parts = []
-    lo, done = 0, 0
-    while lo < ends.size and done < ends[-1]:
-        hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
-        p = np.repeat(np.arange(lo, hi), count[lo:hi])
-        j1, j2 = i1[p], i2[p]
-        j3 = start[p] + done + np.arange(p.size) - (ends[p] - count[p])
-        k3 = n3[j3]
-        s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
-        n = s12 + k3
-        sig = 3 * s12 * s23 * s31
-        res = (s12 == 0) & (s23 == 0)
-        keep = np.nonzero(((sig != 0) | res) & (n != 0))[0]
-        j1, j2, j3, n, sig, res = j1[keep], j2[keep], j3[keep], n[keep], sig[keep], res[keep]
-        weight = np.where(res, 1j * n, (-1j / 3.0) * n)
-        parts.append(
-            _merge(
-                (
-                    n,
-                    m1[j1] + m2[j2] + m3[j3],
-                    w1[j1] + w2[j2] + w3[j3] + sig,
-                    weight * c1[j1] * c2[j2] * c3[j3],
+        # the third child's rows that keep |n| <= bound are contiguous
+        start = np.searchsorted(n3, -bound - n12, "left")
+        count = np.searchsorted(n3, bound - n12, "right") - start
+        ends = np.cumsum(count)
+        parts = [rows]
+        lo, done = 0, 0
+        while lo < ends.size and done < ends[-1]:
+            hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
+            p = np.repeat(np.arange(lo, hi), count[lo:hi])
+            j1, j2 = i1[p], i2[p]
+            j3 = start[p] + done + np.arange(p.size) - (ends[p] - count[p])
+            k3 = n3[j3]
+            s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
+            n = s12 + k3
+            sig = 3 * s12 * s23 * s31
+            res = (s12 == 0) & (s23 == 0)
+            keep = np.nonzero(((sig != 0) | res) & (n != 0))[0]
+            j1, j2, j3, n, sig, res = j1[keep], j2[keep], j3[keep], n[keep], sig[keep], res[keep]
+            weight = np.where(res, 1j * n, (-1j / 3.0) * n)
+            parts.append(
+                _merge(
+                    (
+                        n,
+                        m1[j1] + m2[j2] + m3[j3],
+                        w1[j1] + w2[j2] + w3[j3] + sig,
+                        weight * c1[j1] * c2[j2] * c3[j3],
+                    )
                 )
             )
-        )
-        lo, done = hi, int(ends[hi - 1])
-    if not parts:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z, np.empty(0, dtype=np.complex128)
-    rows = parts[0] if len(parts) == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts)))
+            lo, done = hi, int(ends[hi - 1])
+        # a running sum merged per triple holds one triple's block parts at
+        # a time; one merge after the last triple would hold them all
+        rows = _merge(tuple(np.concatenate(col) for col in zip(*parts)))
     return _merge(_antiderivative(rows))
 
 
@@ -292,10 +302,10 @@ def tree_term_table(
     pairings at every node sums over every admissible assignment of leaf
     modes, so the root's table is the tree operator.
 
-    Leaf modes lie in [-N, N] by construction; internal modes are also
-    restricted to the cutoff when ``project_internal`` is set.  Output
-    modes beyond the cutoff are discarded (the result is a sequence at
-    cutoff N either way).
+    Leaf modes lie in [-N, N] by construction.  A node over l of the
+    tree's L leaves keeps the modes |n| <= (L - l + 1) N, the only ones
+    the other leaves can bring back to the cutoff; that is N at the root.
+    With ``project_internal`` every node keeps |n| <= N.
     """
     leaves = tree.leaves
     if len(leaf_data) != len(leaves):
@@ -309,14 +319,15 @@ def tree_term_table(
     _check_mode_range(k, N)
 
     data = dict(zip(leaves, leaf_data))
-    rows = {}
+    rows, under = {}, {}
     for v in range(tree.size - 1, -1, -1):  # preorder ids: children after parents
         ch = tree.children[v]
         if ch is None:
-            rows[v] = _support_rows(data[v])
+            rows[v], under[v] = _support_rows(data[v]), 1
         else:
-            kids = [rows.pop(c) for c in ch]
-            rows[v] = _node_step(kids, N, project_internal or v == 0)
+            under[v] = sum(under[c] for c in ch)
+            bound = _mode_bound(N, len(leaves), under[v], project_internal)
+            rows[v] = _node_step([tuple(rows.pop(c) for c in ch)], bound)
     n, m, w, c = rows[0]
     return TermTable(N, n + N, m, w, c)
 
@@ -327,28 +338,25 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
 
     A tree with k internal nodes is a root over three subtrees with
     k1+k2+k3 = k-1 internal nodes, and the node step is trilinear, so
-    the depth-k sum is A_k = sum over those (k1, k2, k3) of the node step
-    on (A_k1, A_k2, A_k3), with A_0 the support of a0.  Each depth is
-    folded once from the lower depths' tables.
+    the depth-k sum A_k is one node step on the triples (A_k1, A_k2,
+    A_k3) over those (k1, k2, k3), with A_0 the support of a0.  Each depth
+    is folded once from the lower depths' tables.
 
-    Without ``project_internal`` a lower depth feeds later node steps
-    with its modes up to (2k+1)N, so A_k is kept whole and its table keeps
-    the rows with |n| <= N; only depth K restricts its own node steps.
-    With it, every node step restricts.  The mode-range ValueError is
-    raised before any node step runs.
+    A_k sits over 2k+1 of the 2K+1 leaves of a depth-K tree, so without
+    ``project_internal`` it keeps the modes |n| <= (2(K-k)+1) N, which
+    later depths can still bring back to the cutoff, and its table keeps
+    the rows with |n| <= N.  With it, every depth keeps |n| <= N.  Either
+    way depth K keeps |n| <= N, and a depth's table does not depend on K
+    beyond rounding.  The mode-range ValueError is raised before any node
+    step runs.
     """
     N = a0.cutoff
     if K > 0:
         _check_mode_range(K, N)
     A = [_support_rows(a0)]
     for k in range(1, K + 1):
-        restrict = project_internal or k == K
-        parts = [
-            _node_step((A[k1], A[k2], A[k - 1 - k1 - k2]), N, restrict)
-            for k1 in range(k)
-            for k2 in range(k - k1)
-        ]
-        A.append(parts[0] if k == 1 else _merge(tuple(np.concatenate(col) for col in zip(*parts))))
+        triples = [(A[k1], A[k2], A[k - 1 - k1 - k2]) for k1 in range(k) for k2 in range(k - k1)]
+        A.append(_node_step(triples, _mode_bound(N, 2 * K + 1, 2 * k + 1, project_internal)))
     tables = []
     for n, m, w, c in A:
         keep = np.abs(n) <= N
@@ -459,8 +467,7 @@ def majorant_apply(a1: CoeffSeq, a2: CoeffSeq, a3: CoeffSeq) -> CoeffSeq:
         inside = np.abs(n3) <= N
         star = (n1 != n) & (n2 != n) & (n3 != n) & inside
         w3 = np.where(inside, m3[np.clip(n3 + N, 0, 2 * N)], 0.0)
-        sig = 3.0 * (n1 + n2) * (n2 + n3) * (n3 + n1)
-        kern = np.abs(n) / np.sqrt(np.sqrt(1.0 + sig**2))
+        kern = _kernel_array(n1, n2, n3, 0.0, "full")
         total += np.sum(np.where(star, kern * w1 * m2[:, None] * w3, 0.0), axis=0)
     diag = np.abs(modes) * m1 * m2 * m3
     return CoeffSeq(N, (total + diag).astype(np.complex128))
@@ -530,7 +537,6 @@ def kernel_norm_scan(
     pair: tuple = (1, 2),
     M: int = 64,
     which: str = "m1",
-    row_chunk: int = 512,
 ) -> float:
     """l^{p'} norm of the kernel slice at fixed output mode n.
 
@@ -548,8 +554,8 @@ def kernel_norm_scan(
     free = np.arange(-M, M + 1, dtype=np.int64)
     total = 0.0
     sup = 0.0
-    for lo in range(0, free.size, row_chunk):
-        u = free[lo : lo + row_chunk][:, None]
+    for lo in range(0, free.size, _SCAN_ROWS):
+        u = free[lo : lo + _SCAN_ROWS][:, None]
         v = free[None, :]
         w = n - u - v
         if pair == (1, 2):

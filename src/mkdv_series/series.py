@@ -14,7 +14,7 @@ rows per time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -213,19 +213,7 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     coeffs = [
         gauge_shift(seq, _GAUGE_SIGN * c, t) for seq, t in zip(sol.coeffs, sol.times)
     ]
-    return SeriesSolution(
-        cfg,
-        "mkdv",
-        sol.times,
-        coeffs,
-        sol.depth_norms,
-        sol.t_max,
-        sol.beyond_certificate,
-        sol.warnings,
-        depth_values=sol.depth_values,
-        gauge_mass=c,
-        depth_rows=sol.depth_rows,
-    )
+    return replace(sol, equation="mkdv", coeffs=coeffs, gauge_mass=c)
 
 
 def ode_residual(

@@ -138,6 +138,26 @@ def test_graded_depths_match_per_tree_tables():
             assert sol.depth_rows[k] == merged[0].size
 
 
+def test_graded_depth_table_does_not_depend_on_K():
+    # without projection, K = 4 lets depth 3 keep |n| <= 3N for the depth
+    # above it, while K = 3 keeps |n| <= N at depth 3; the rows left at
+    # the cutoff must be the same either way
+    N, K = 3, 4
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+    v[[0, N - 1, N + 2]] = 0.0
+    a0 = CoeffSeq(N, v)
+    for project in (False, True):
+        deep = depth_term_tables(a0, K, project)
+        for k in range(K):
+            got, own = deep[k], depth_term_tables(a0, k, project)[k]
+            assert own.weights.size > 0
+            for name in ("root_idx", "powers", "freqs"):
+                assert np.array_equal(getattr(got, name), getattr(own, name))
+            scale = np.max(np.abs(own.weights))
+            assert np.max(np.abs(got.weights - own.weights)) <= 1e-14 * scale
+
+
 def test_graded_projection_on_with_delta_at_cutoff_is_empty():
     # every triple of the one mode N leaves the cutoff, so each depth's
     # table is empty and the solve adds nothing to the data
