@@ -7,26 +7,23 @@ It is evaluated exactly by recursing up the tree with exponential
 polynomials (one antidifferentiation per internal node); no quadrature is
 involved except in the test oracles.
 
-Two evaluation paths exist deliberately:
+Three routes compute the same sums, cross-checked in the tests:
 
-* a scalar path on :class:`~mkdv_series.exppoly.ExpPoly`, one integral per
-  (tree shape, per-node frequency profile), with the operator summed
-  assignment by assignment; it is the readable reference; and
-* the fold: one trilinear node step carries a node's value as rows
-  (mode, power, frequency, coefficient) of an exponential polynomial in
-  time, so the sum over assignments is taken node by node rather than
-  over the (2N+1)^(2k+1) grid of leaf modes.  The node step takes a list
-  of child-table triples and sums them, and two drivers call it.
-  ``tree_term_table`` folds it bottom-up over one tree, one triple per
-  node.  ``depth_term_tables``, the solver's driver, uses trilinearity
-  instead: the sum A_k of every tree with k internal nodes is one node
-  step on the (k+1)k/2 triples (A_k1, A_k2, A_k3) with k1+k2+k3 = k-1,
-  so no subtree is folded twice.  Both drivers bound the modes a node
-  keeps by one rule: N with internal projection, otherwise (L - l + 1) N
-  for a node over l of the tree's L leaves (2K+1 in the depth driver),
-  the only modes the other leaves can bring back to |n| <= N at the root.
+* the scalar reference on :class:`~mkdv_series.exppoly.ExpPoly`
+  (``apply_tree_operator_reference``), summed assignment by assignment;
+* the per-tree fold (``tree_term_table``), the depth fold's reference: a
+  node's value is a table of rows (mode, power, frequency, coefficient)
+  of an exponential polynomial in time, and the literal trilinear node
+  (star and resonant triples, sigma) runs once per node, so assignments
+  are summed node by node, not over the (2N+1)^(2k+1) leaf-mode grid;
+* the depth fold (``depth_term_tables``), the solver's route: the sum A_k
+  of every tree with k internal nodes as two bilinear products of lower
+  depths' tables, in the interaction picture where frequencies add.
 
-The two paths are cross-checked in the test suite.
+Both folds keep |n| <= N at a node with internal projection, otherwise
+|n| <= (L - l + 1) N for a node over l of L leaves (L = 2K+1 in the depth
+fold): the modes the other leaves can bring back to the cutoff.  Both
+pair rows through one blocked routine, ``_pairs``.
 """
 
 from __future__ import annotations
@@ -134,11 +131,11 @@ def parity_bound(tree: TernaryTree, a: IndexAssignment, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the multilinear tree operator: one trilinear node step, folded up the tree
+# the multilinear tree operator: the per-tree fold and the depth fold
 # ---------------------------------------------------------------------------
 
-# Elements per vectorized block (row triples in a node step, rows x times in
-# an evaluation); bounds temporary memory.
+# Elements per vectorized block (row pairs in a product, rows x times in an
+# evaluation); bounds temporary memory.
 _BLOCK = 1 << 16
 # Rows of the (2M+1)^2 box a kernel norm scan evaluates at once.
 _SCAN_ROWS = 512
@@ -212,61 +209,53 @@ def _antiderivative(rows):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _mode_bound(N, L, leaves, project_internal):
-    """Largest |n| a node over ``leaves`` of a tree's L leaves can pass on:
-    the other L - leaves leaves bring at most N each, so a larger mode
-    cannot come back to |n| <= N at the root.  N at the root itself, and
-    N everywhere with ``project_internal``."""
-    return N if project_internal else (L - leaves + 1) * N
+def _pairs(n1, n2, bound):
+    """Blocks of about ``_BLOCK`` index pairs (i, j) with |n1[i] + n2[j]|
+    <= bound.  n2 is sorted (tables are sorted by mode), so the j of each
+    i are one contiguous run; n1 may be in any order."""
+    start = np.searchsorted(n2, -bound - n1, "left")
+    count = np.searchsorted(n2, bound - n1, "right") - start
+    ends = np.cumsum(count)
+    lo, done = 0, 0
+    while lo < ends.size and done < ends[-1]:
+        hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
+        i = np.repeat(np.arange(lo, hi), count[lo:hi])
+        yield i, start[i] + done + np.arange(i.size) - (ends[i] - count[i])
+        lo, done = hi, int(ends[hi - 1])
 
 
-def _node_step(triples, bound):
-    """One trilinear node on a list of child-table triples, summed: pair
-    each triple's rows and keep the products that are resonant (j, -j, j)
-    or star with output mode 0 < |n| <= bound; weight them +in or -in/3,
-    add powers, and add frequencies plus sigma = 3 (n1+n2)(n2+n3)(n3+n1);
-    then sum them over the triples and integrate from 0 once.  The children
-    are (n, m, w, c) row tables sorted by mode, and the step reads nothing
-    else: it does not depend on the trees the children come from."""
-    rows = tuple(col[:0] for col in triples[0][0])  # empty, in the children's dtypes
-    for (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) in triples:
-        i1, i2 = np.divmod(np.arange(n1.size * n2.size), n2.size)
+def _node(children, bound):
+    """The trilinear node on one child triple: the products with output
+    0 < |n| <= bound that are star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0),
+    weight -in/3, or resonant (j, -j, j), weight +in; powers add, and
+    frequencies add plus sigma.  Merged, then integrated from 0."""
+    (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
+    parts = [tuple(col[:0] for col in children[0])]  # empty, in the children's dtypes
+    for i1, i2 in _pairs(n1, n2, bound + np.abs(n3).max(initial=0)):
         n12 = n1[i1] + n2[i2]
-        # rows come sorted by mode (the leading digit of the merge key), so
-        # the third child's rows that keep |n| <= bound are contiguous
-        start = np.searchsorted(n3, -bound - n12, "left")
-        count = np.searchsorted(n3, bound - n12, "right") - start
-        ends = np.cumsum(count)
-        parts = [rows]
-        lo, done = 0, 0
-        while lo < ends.size and done < ends[-1]:
-            hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
-            p = np.repeat(np.arange(lo, hi), count[lo:hi])
-            j1, j2 = i1[p], i2[p]
-            j3 = start[p] + done + np.arange(p.size) - (ends[p] - count[p])
-            k3 = n3[j3]
+        for p, j3 in _pairs(n12, n3, bound):
+            j1, j2, k3 = i1[p], i2[p], n3[j3]
             s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
-            n = s12 + k3
-            sig = 3 * s12 * s23 * s31
+            n, sig = s12 + k3, 3 * s12 * s23 * s31
             res = (s12 == 0) & (s23 == 0)
             keep = np.nonzero(((sig != 0) | res) & (n != 0))[0]
-            j1, j2, j3, n, sig, res = j1[keep], j2[keep], j3[keep], n[keep], sig[keep], res[keep]
+            j1, j2, j3, n, sig, res = (x[keep] for x in (j1, j2, j3, n, sig, res))
             weight = np.where(res, 1j * n, (-1j / 3.0) * n)
-            parts.append(
-                _merge(
-                    (
-                        n,
-                        m1[j1] + m2[j2] + m3[j3],
-                        w1[j1] + w2[j2] + w3[j3] + sig,
-                        weight * c1[j1] * c2[j2] * c3[j3],
-                    )
-                )
-            )
-            lo, done = hi, int(ends[hi - 1])
-        # a running sum merged per triple holds one triple's block parts at
-        # a time; one merge after the last triple would hold them all
+            m, w = m1[j1] + m2[j2] + m3[j3], w1[j1] + w2[j2] + w3[j3] + sig
+            parts.append(_merge((n, m, w, weight * c1[j1] * c2[j2] * c3[j3])))
+    return _merge(_antiderivative(tuple(np.concatenate(col) for col in zip(*parts))))
+
+
+def _product(pairs, bound):
+    """Sum of a (x) b over the table pairs: modes, powers and frequencies
+    add, coefficients multiply, |n| <= bound kept; merged once per pair."""
+    rows = tuple(col[:0] for col in pairs[0][0])  # empty, in the tables' dtypes
+    for (n1, m1, u1, c1), (n2, m2, u2, c2) in pairs:
+        parts = [rows]
+        for i, j in _pairs(n1, n2, bound):
+            parts.append(_merge((n1[i] + n2[j], m1[i] + m2[j], u1[i] + u2[j], c1[i] * c2[j])))
         rows = _merge(tuple(np.concatenate(col) for col in zip(*parts)))
-    return _merge(_antiderivative(rows))
+    return rows
 
 
 def _check_mode_range(k, N):
@@ -288,24 +277,17 @@ def tree_term_table(
     N: int,
     project_internal: bool = False,
 ) -> TermTable:
-    """Fold one trilinear node step bottom-up over the tree.
+    """Fold the literal trilinear node bottom-up over one tree: the
+    reference the depth fold is checked against.
 
-    Each node's value is a table of rows (mode n, power m, frequency w,
-    coefficient c), meaning sum c s^m e^{iws} at mode n as a function of
-    the node's time s.  A leaf gives the support of its datum with m = w
-    = 0.  An internal node pairs its children's rows, keeps the admissible
-    triples with their node weight and resonance frequency, merges rows by
-    (n, m, w) and takes the exact antiderivative from 0.  The merge packs
-    (n, m, w) into one int64 key sized by the rows' own ranges and raises
-    ValueError if those ranges do not fit; the tree only fixes which node
-    steps run on which tables.  Summing over the
+    A node's value is a table of rows (mode n, power m, frequency w,
+    coefficient c), sum c s^m e^{iws} at mode n in the node's time s; a
+    leaf gives its datum's support with m = w = 0.  Summing over the
     pairings at every node sums over every admissible assignment of leaf
-    modes, so the root's table is the tree operator.
-
-    Leaf modes lie in [-N, N] by construction.  A node over l of the
-    tree's L leaves keeps the modes |n| <= (L - l + 1) N, the only ones
-    the other leaves can bring back to the cutoff; that is N at the root.
-    With ``project_internal`` every node keeps |n| <= N.
+    modes, so the root's table is the tree operator.  A node over l of the
+    tree's L leaves keeps |n| <= (L - l + 1) N, the only modes the other
+    leaves can bring back to the cutoff (N at the root); with
+    ``project_internal`` every node keeps |n| <= N.
     """
     leaves = tree.leaves
     if len(leaf_data) != len(leaves):
@@ -326,8 +308,8 @@ def tree_term_table(
             rows[v], under[v] = _support_rows(data[v]), 1
         else:
             under[v] = sum(under[c] for c in ch)
-            bound = _mode_bound(N, len(leaves), under[v], project_internal)
-            rows[v] = _node_step([tuple(rows.pop(c) for c in ch)], bound)
+            bound = N if project_internal else (len(leaves) - under[v] + 1) * N
+            rows[v] = _node(tuple(rows.pop(c) for c in ch), bound)
     n, m, w, c = rows[0]
     return TermTable(N, n + N, m, w, c)
 
@@ -336,31 +318,49 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     """The tables of depths 0..K: depth k sums every tree with k internal
     nodes applied to a0 on all leaves.
 
-    A tree with k internal nodes is a root over three subtrees with
-    k1+k2+k3 = k-1 internal nodes, and the node step is trilinear, so
-    the depth-k sum A_k is one node step on the triples (A_k1, A_k2,
-    A_k3) over those (k1, k2, k3), with A_0 the support of a0.  Each depth
-    is folded once from the lower depths' tables.
+    Such a tree is a root over subtrees of depths k1+k2+k3 = k-1, so the
+    depth sum A_k is the trilinear node summed over the ordered triples
+    (A_k1, A_k2, A_k3), with A_0 the support of a0.  On that sum, which is
+    symmetric in the three slots, the node is two bilinear products:
 
-    A_k sits over 2k+1 of the 2K+1 leaves of a depth-K tree, so without
-    ``project_internal`` it keeps the modes |n| <= (2(K-k)+1) N, which
-    later depths can still bring back to the cutoff, and its table keeps
-    the rows with |n| <= N.  With it, every depth keeps |n| <= N.  Either
-    way depth K keeps |n| <= N, and a depth's table does not depend on K
-    beyond rounding.  The mode-range ValueError is raised before any node
-    step runs.
+        P_j = sum_{k1+k2=j} A_k1 (x) A_k2,  R_j = P_j with its mode-0 rows
+        times -2,  A_k = int_0 -(in/3) sum_{j<k} R_j (x) A_{k-1-j}.
+
+    By inclusion-exclusion over n_i = n, star(a,b,c) = full - a S(b,c)
+    - b S(a,c) - c S(a,b) + a b c~ + a b~ c + a~ b c, with S(a,b) =
+    sum_j a(j) b(-j) and x~(n) = x(-n); the node is -(in/3) star
+    + in a b~ c.  Summed over the triples, relabelling makes the three S
+    terms equal and the three diagonals equal, so the diagonals cancel
+    the resonant branch and -(in/3) (full - 3 S(A_k1, A_k2) A_k3) is left.
+    The full sum holds the mode-0 pair rows, S, once: 1 - 3 = -2.  Rows
+    carry u = w - n^3, which adds under (x) because sigma = n^3 - n1^3 -
+    n2^3 - n3^3; w = u + n^3 is formed only to integrate and to return.
+    What the star mask cancels exactly cancels here to rounding, so a
+    table can keep rows of round-off size (<= 1e-15 of its largest).
+
+    Depth k keeps |n| <= bound(k): N with ``project_internal``, otherwise
+    (2(K-k)+1) N, which later depths can still bring back to the cutoff;
+    its table keeps |n| <= N.  P_j keeps |n12| = |n - n3| <= bound(j+1) + N,
+    as |n3| <= N with projection and <= (2 k3 + 1) N without.  A depth's
+    table does not depend on K beyond rounding.  The mode-range ValueError
+    is raised before any product is formed.
     """
     N = a0.cutoff
     if K > 0:
         _check_mode_range(K, N)
-    A = [_support_rows(a0)]
+    bound = [N if project_internal else (2 * (K - k) + 1) * N for k in range(K + 1)]
+    n, m, u, c = _support_rows(a0)
+    A, R = [(n, m, u - n**3, c)], []
     for k in range(1, K + 1):
-        triples = [(A[k1], A[k2], A[k - 1 - k1 - k2]) for k1 in range(k) for k2 in range(k - k1)]
-        A.append(_node_step(triples, _mode_bound(N, 2 * K + 1, 2 * k + 1, project_internal)))
+        n, m, u, c = _product([(A[k1], A[k - 1 - k1]) for k1 in range(k)], bound[k] + N)
+        R.append((n, m, u, np.where(n == 0, -2.0 * c, c)))
+        n, m, u, c = _product([(R[j], A[k - 1 - j]) for j in range(k)], bound[k])
+        n, m, w, c = _merge(_antiderivative((n, m, u + n**3, (-1j / 3.0) * n * c)))
+        A.append((n, m, w - n**3, c))
     tables = []
-    for n, m, w, c in A:
+    for n, m, u, c in A:
         keep = np.abs(n) <= N
-        tables.append(TermTable(N, n[keep] + N, m[keep], w[keep], c[keep]))
+        tables.append(TermTable(N, n[keep] + N, m[keep], u[keep] + n[keep] ** 3, c[keep]))
     return tables
 
 

@@ -4,11 +4,11 @@ integral-equation residual diagnostic.
 
 The terms are summed depth by depth, not tree by tree.  Depth k's sum is
 one table of exponential-polynomial rows (mode, power, frequency,
-coefficient), folded once from the lower depths' tables by the trilinear
-node step (Christ's recursion: the node on every triple of lower depths
-whose depths add to k-1).  A table does not depend on time, so one solve
-evaluates the whole time grid at the cost of one pass over each depth's
-rows per time.
+coefficient), folded once from the lower depths' tables as two bilinear
+products (Christ's recursion: the trilinear node on every triple of lower
+depths whose depths add to k-1; see ``ops.depth_term_tables``).  A table
+does not depend on time, so one solve evaluates the whole time grid at
+the cost of one pass over each depth's rows per time.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ class SeriesConfig:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Series values on the time grid plus per-depth diagnostics."""
+    """Series values on the time grid plus per-depth diagnostics.
+    ``depth_rows`` also counts rows that are zero in exact arithmetic but
+    cancel only to rounding, so it depends on summation order."""
 
     config: SeriesConfig
     equation: str
@@ -74,8 +76,8 @@ class SeriesSolution:
     depth_norms: np.ndarray       # [n_times, K+1], norm of each depth's term
     t_max: float                  # certificate radius for the initial data
     beyond_certificate: np.ndarray  # bool per time
+    depth_values: np.ndarray      # [K+1, n_times, 2N+1]
     warnings: tuple = field(default_factory=tuple)
-    depth_values: np.ndarray | None = None  # [K+1, n_times, 2N+1]
     gauge_mass: float = 0.0       # c of a plain-flow solution's phase e^{-inct}
     depth_rows: tuple = ()        # rows of each depth's table, depths 0..K
 
@@ -94,8 +96,6 @@ class SeriesSolution:
         2i sin(theta/2) e^{i theta/2} so that it does not cancel either.
         For the mean-subtracted flow (c = 0) the depth sum comes back
         unchanged."""
-        if self.depth_values is None:
-            raise ValueError("per-depth values were not retained")
         vals = self.depth_values[1:, i, :].sum(axis=0)
         a0 = CoeffSeq(self.config.N, self.depth_values[0, i])
         theta = a0.modes * (_GAUGE_SIGN * self.gauge_mass * self.times[i])
@@ -196,8 +196,8 @@ def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
         depth_norms,
         t_max,
         beyond,
+        depth_vals,
         warnings,
-        depth_values=depth_vals,
         depth_rows=tuple(int(t.weights.size) for t in tables),
     )
 

@@ -1,5 +1,6 @@
 """Series assembly: depth structure, certificates, residuals, gauge."""
 
+import itertools
 import json
 import math
 
@@ -84,19 +85,22 @@ def test_depth_norms_scale_multilinearly():
 
 def test_each_depth_is_the_reference_summed_over_trees():
     # depth k sums every tree with k internal nodes; the scalar reference
-    # sums each tree assignment by assignment, one symbolic integral each
+    # sums each tree assignment by assignment, one symbolic integral each.
+    # Support {-2, 1, 3} has no +-j pair, so every triple is star; {-1, 1, 2}
+    # forms sigma = 0 triples, resonant (j, -j, j) and excluded ones alike
     N, K, ts = 3, 3, (0.05, 0.3)
     rng = np.random.default_rng(21)
-    v = np.zeros(2 * N + 1, dtype=np.complex128)
-    for n in (-2, 1, 3):
-        v[n + N] = rng.normal() + 1j * rng.normal()
-    a0 = CoeffSeq(N, v)
-    for project in (False, True):
-        sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
-        for k in range(1, K + 1):
-            for i, t in enumerate(ts):
+    for support in ((-2, 1, 3), (-1, 1, 2)):
+        v = np.zeros(2 * N + 1, dtype=np.complex128)
+        for n in support:
+            v[n + N] = rng.normal() + 1j * rng.normal()
+        a0 = CoeffSeq(N, v)
+        for project in (False, True):
+            cfg = SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project)
+            sol = solve_series(a0, cfg)
+            for k, (i, t) in itertools.product(range(1, K + 1), enumerate(ts)):
                 ref = sum(
-                    apply_tree_operator_reference(tree, [a0] * len(tree.leaves), t, N, project).values
+                    apply_tree_operator_reference(tree, [a0] * (2 * k + 1), t, N, project).values
                     for tree in enumerate_trees(k)
                 )
                 scale = np.max(np.abs(ref))
@@ -105,9 +109,12 @@ def test_each_depth_is_the_reference_summed_over_trees():
 
 
 def test_graded_depths_match_per_tree_tables():
-    # route against route: the graded fold (one table per depth) against
-    # the per-tree fold summed over every tree of that depth, in values and
-    # in the rows left after merging the per-tree tables.  Below t ~ 0.1
+    # route against route: the graded fold (one table per depth, two
+    # bilinear products) against the literal per-tree fold summed over
+    # every tree of that depth, in values and in rows: every row left after
+    # merging the per-tree tables is a graded row, and the graded fold may
+    # keep only round-off rows besides, which the star mask cancels
+    # exactly and its inclusion-exclusion only to rounding.  Below t ~ 0.1
     # both routes lose digits to the expanded rows' small-time cancellation
     # (depth 4, projected: 5e-14 apart at t = 0.05, 7e-13 at t = 0.02),
     # which is not what this test is about.
@@ -118,6 +125,7 @@ def test_graded_depths_match_per_tree_tables():
     a0 = CoeffSeq(N, v)
     for project in (False, True):
         sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
+        graded = depth_term_tables(a0, K, project)
         assert sol.depth_rows[0] == np.count_nonzero(v)
         for k in range(1, K + 1):
             tables = [
@@ -135,7 +143,13 @@ def test_graded_depths_match_per_tree_tables():
                     for col in zip(*((t.root_idx, t.powers, t.freqs, t.weights) for t in tables))
                 )
             )
-            assert sol.depth_rows[k] == merged[0].size
+            g = graded[k]
+            assert sol.depth_rows[k] == g.weights.size
+            keys = list(zip(g.root_idx.tolist(), g.powers.tolist(), g.freqs.tolist()))
+            per_tree = set(zip(*(col.tolist() for col in merged[:3])))
+            assert per_tree <= set(keys)
+            extra = np.array([key not in per_tree for key in keys], dtype=bool)
+            assert np.all(np.abs(g.weights[extra]) <= 1e-15 * np.max(np.abs(g.weights)))
 
 
 def test_graded_depth_table_does_not_depend_on_K():
@@ -182,10 +196,10 @@ def test_graded_depth_zero_is_the_data_alone():
 
 def test_graded_mode_range_guard_before_any_node_step(monkeypatch):
     # (2K+1) N = 33000 >= 2^15; depths 1-4 alone would fit
-    def no_step(*args):
-        raise AssertionError("node step ran before the mode-range guard")
+    def no_product(*args):
+        raise AssertionError("a product was formed before the mode-range guard")
 
-    monkeypatch.setattr(ops, "_node_step", no_step)
+    monkeypatch.setattr(ops, "_product", no_product)
     a0 = CoeffSeq.delta(3000, 1, 1.0)
     with pytest.raises(ValueError, match="mode range"):
         solve_series(a0, SeriesConfig(N=3000, K=5, t_grid=(0.01,)))
