@@ -23,7 +23,7 @@ Three routes compute the same sums, cross-checked in the tests:
 Both folds keep |n| <= N at a node with internal projection, otherwise
 |n| <= (L - l + 1) N for a node over l of L leaves (L = 2K+1 in the depth
 fold): the modes the other leaves can bring back to the cutoff.  Both
-pair rows through one blocked routine, ``_pairs``.
+pair rows through ``_pairs`` and sum the product blocks through ``_sum``.
 """
 
 from __future__ import annotations
@@ -139,6 +139,11 @@ def parity_bound(tree: TernaryTree, a: IndexAssignment, t: float) -> float:
 _BLOCK = 1 << 16
 # Rows of the (2M+1)^2 box a kernel norm scan evaluates at once.
 _SCAN_ROWS = 512
+# _sum merges its parts into the running table once they outweigh it this many times.
+# depth_term_tables(N=6, K=5, unprojected) merged 1.25e8 rows at 1 and ran 10-25% slower;
+# at 4, 1.08e8 (1.03e8 merging once per table pair), time level, max RSS 591 -> 120 MB.
+_FOLD = 4
+_EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)  # (n, m, w, c)
 
 
 @dataclass(frozen=True)
@@ -225,12 +230,11 @@ def _pairs(n1, n2, bound):
 
 
 def _node(children, bound):
-    """The trilinear node on one child triple: the products with output
-    0 < |n| <= bound that are star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0),
-    weight -in/3, or resonant (j, -j, j), weight +in; powers add, and
-    frequencies add plus sigma.  Merged, then integrated from 0."""
+    """Blocks of the trilinear node's products on one child triple: output
+    0 < |n| <= bound, star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0) with
+    weight -in/3, or resonant (j, -j, j) with weight +in; powers add, and
+    frequencies add plus sigma.  Unmerged and not yet integrated."""
     (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
-    parts = [tuple(col[:0] for col in children[0])]  # empty, in the children's dtypes
     for i1, i2 in _pairs(n1, n2, bound + np.abs(n3).max(initial=0)):
         n12 = n1[i1] + n2[i2]
         for p, j3 in _pairs(n12, n3, bound):
@@ -242,20 +246,28 @@ def _node(children, bound):
             j1, j2, j3, n, sig, res = (x[keep] for x in (j1, j2, j3, n, sig, res))
             weight = np.where(res, 1j * n, (-1j / 3.0) * n)
             m, w = m1[j1] + m2[j2] + m3[j3], w1[j1] + w2[j2] + w3[j3] + sig
-            parts.append(_merge((n, m, w, weight * c1[j1] * c2[j2] * c3[j3])))
-    return _merge(_antiderivative(tuple(np.concatenate(col) for col in zip(*parts))))
+            yield n, m, w, weight * c1[j1] * c2[j2] * c3[j3]
 
 
 def _product(pairs, bound):
-    """Sum of a (x) b over the table pairs: modes, powers and frequencies
-    add, coefficients multiply, |n| <= bound kept; merged once per pair."""
-    rows = tuple(col[:0] for col in pairs[0][0])  # empty, in the tables' dtypes
+    """Blocks of a (x) b over the table pairs, unmerged: modes, powers and
+    frequencies add, coefficients multiply, |n| <= bound kept."""
     for (n1, m1, u1, c1), (n2, m2, u2, c2) in pairs:
-        parts = [rows]
         for i, j in _pairs(n1, n2, bound):
-            parts.append(_merge((n1[i] + n2[j], m1[i] + m2[j], u1[i] + u2[j], c1[i] * c2[j])))
-        rows = _merge(tuple(np.concatenate(col) for col in zip(*parts)))
-    return rows
+            yield n1[i] + n2[j], m1[i] + m2[j], u1[i] + u2[j], c1[i] * c2[j]
+
+
+def _sum(blocks):
+    """The merged sum of the row blocks, merged as they arrive; the parts
+    join the running table, first, once they outgrow _FOLD * max(its rows,
+    _BLOCK).  A part holds a key once, so keys sum in block order."""
+    rows, parts, held = _EMPTY, [], 0
+    for block in blocks:
+        parts.append(_merge(block))
+        held += parts[-1][0].size
+        if held > _FOLD * max(rows[0].size, _BLOCK):
+            rows, parts, held = _merge(tuple(np.concatenate(col) for col in zip(rows, *parts))), [], 0
+    return _merge(tuple(np.concatenate(col) for col in zip(rows, *parts)))
 
 
 def _check_mode_range(k, N):
@@ -309,7 +321,7 @@ def tree_term_table(
         else:
             under[v] = sum(under[c] for c in ch)
             bound = N if project_internal else (len(leaves) - under[v] + 1) * N
-            rows[v] = _node(tuple(rows.pop(c) for c in ch), bound)
+            rows[v] = _merge(_antiderivative(_sum(_node(tuple(rows.pop(c) for c in ch), bound))))
     n, m, w, c = rows[0]
     return TermTable(N, n + N, m, w, c)
 
@@ -352,9 +364,9 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     n, m, u, c = _support_rows(a0)
     A, R = [(n, m, u - n**3, c)], []
     for k in range(1, K + 1):
-        n, m, u, c = _product([(A[k1], A[k - 1 - k1]) for k1 in range(k)], bound[k] + N)
+        n, m, u, c = _sum(_product([(A[k1], A[k - 1 - k1]) for k1 in range(k)], bound[k] + N))
         R.append((n, m, u, np.where(n == 0, -2.0 * c, c)))
-        n, m, u, c = _product([(R[j], A[k - 1 - j]) for j in range(k)], bound[k])
+        n, m, u, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], bound[k]))
         n, m, w, c = _merge(_antiderivative((n, m, u + n**3, (-1j / 3.0) * n * c)))
         A.append((n, m, w - n**3, c))
     tables = []

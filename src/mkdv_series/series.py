@@ -54,8 +54,8 @@ class SeriesConfig:
         if self.N < 0 or self.K < 0:
             raise ValueError("N and K must be nonnegative")
         ts = tuple(float(t) for t in self.t_grid)
-        if any(not (0.0 <= t <= 1.0) for t in ts):
-            raise ValueError("times must lie in [0, 1]")
+        if not ts or any(not (0.0 <= t <= 1.0) for t in ts):
+            raise ValueError("t_grid needs at least one time, all in [0, 1]")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be nondecreasing")
         if self.C_bound <= 0:

@@ -93,13 +93,19 @@ def test_lemma_bound_passes_and_writes_outputs(tmp_path):
 
 
 def test_broken_tolerance_fails_with_exit_3(tmp_path):
-    # deliberately impossible bound constant: ratios must exceed 1
-    spec = ExperimentSpec("lemma-bound", {"K": 1, "samples": 20, "C": 1e-9})
-    rc = run_experiment(spec, str(tmp_path), seed=1)
-    assert rc == EXIT_ASSERTION
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["pass"] is False
-    assert any(not a["passed"] for a in manifest["assertions"])
+    # deliberately impossible bounds: lemma ratios must exceed 1 with this
+    # constant, and the kernel norm grows by 1.287 from n = 4 to n = 8
+    specs = [
+        ExperimentSpec("lemma-bound", {"K": 1, "samples": 20, "C": 1e-9}),
+        ExperimentSpec("kernel-norms", {"n": [4, 8], "M_factor": 5, "growth_max": 1.0}),
+    ]
+    for i, spec in enumerate(specs):
+        out = tmp_path / str(i)
+        rc = run_experiment(spec, str(out), seed=1)
+        assert rc == EXIT_ASSERTION
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert any(not a["passed"] for a in manifest["assertions"])
 
 
 def test_io_failure_exit_code(tmp_path):
@@ -120,6 +126,20 @@ def test_oracle_compare_zero_data(tmp_path):
     assert float(rows[1].split(",")[1]) == 0.0
 
 
+def test_oracle_compare_default_spec_measures_halving_order(tmp_path):
+    # the default spec also solves at t/2 and asserts the error ratio
+    rc = run_experiment(ExperimentSpec("oracle-compare", {}), str(tmp_path))
+    assert rc == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    names = [a["name"] for a in manifest["assertions"]]
+    assert names == ["sup-mode error <= tol", "halving ratio >= ratio_min"]
+    assert all(a["passed"] for a in manifest["assertions"])
+    order = json.loads((tmp_path / "order.json").read_text())
+    assert order["measured_order"] >= 3.5
+    rows = (tmp_path / "oracle_compare.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 2
+
+
 def test_oracle_compare_picard_mode(tmp_path):
     spec = ExperimentSpec(
         "oracle-compare",
@@ -130,12 +150,20 @@ def test_oracle_compare_picard_mode(tmp_path):
 
 
 def test_kernel_norm_csv_schema(tmp_path):
-    spec = ExperimentSpec("kernel-norms", {"n": [4, 8], "M_factor": 5})
+    spec = ExperimentSpec(
+        "kernel-norms", {"n": [4, 8], "M_factor": 5, "growth_max": 10, "growth_min": 0.1}
+    )
     rc = run_experiment(spec, str(tmp_path))
     assert rc == EXIT_OK
     rows = (tmp_path / "kernel_norms.csv").read_text().strip().split("\n")
     assert rows[0] == "n,s,p,pair,M,norm"
     assert len(rows) == 1 + 2 * 3
+    # the growth over the scan is 1.287, inside both limits
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    checks = {a["name"]: a for a in manifest["assertions"]}
+    assert set(checks) == {"norm growth over scan <= growth_max", "norm growth over scan >= growth_min"}
+    assert all(a["passed"] for a in checks.values())
+    assert checks["norm growth over scan <= growth_max"]["value"] == pytest.approx(1.287, abs=1e-3)
 
 
 def test_jobs_do_not_change_results(tmp_path):

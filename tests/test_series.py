@@ -108,7 +108,7 @@ def test_each_depth_is_the_reference_summed_over_trees():
                 assert np.max(np.abs(sol.depth_values[k, i] - ref)) <= 1e-13 * scale
 
 
-def test_graded_depths_match_per_tree_tables():
+def test_graded_depths_match_per_tree_tables(monkeypatch):
     # route against route: the graded fold (one table per depth, two
     # bilinear products) against the literal per-tree fold summed over
     # every tree of that depth, in values and in rows: every row left after
@@ -117,13 +117,15 @@ def test_graded_depths_match_per_tree_tables():
     # exactly and its inclusion-exclusion only to rounding.  Below t ~ 0.1
     # both routes lose digits to the expanded rows' small-time cancellation
     # (depth 4, projected: 5e-14 apart at t = 0.05, 7e-13 at t = 0.02),
-    # which is not what this test is about.
+    # which is not what this test is about.  With _BLOCK = 64, _sum merges
+    # its parts into the running table within a product, in both folds.
     N, K, ts = 3, 4, (0.1, 0.3)
     rng = np.random.default_rng(8)
     v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
     v[[0, N - 1, N + 2]] = 0.0
     a0 = CoeffSeq(N, v)
-    for project in (False, True):
+    for block, project in itertools.product((ops._BLOCK, 64), (False, True)):
+        monkeypatch.setattr(ops, "_BLOCK", block)
         sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
         graded = depth_term_tables(a0, K, project)
         assert sol.depth_rows[0] == np.count_nonzero(v)
@@ -152,16 +154,18 @@ def test_graded_depths_match_per_tree_tables():
             assert np.all(np.abs(g.weights[extra]) <= 1e-15 * np.max(np.abs(g.weights)))
 
 
-def test_graded_depth_table_does_not_depend_on_K():
+def test_graded_depth_table_does_not_depend_on_K(monkeypatch):
     # without projection, K = 4 lets depth 3 keep |n| <= 3N for the depth
     # above it, while K = 3 keeps |n| <= N at depth 3; the rows left at
-    # the cutoff must be the same either way
+    # the cutoff must be the same either way, also when _BLOCK = 64 makes
+    # _sum merge its parts into the running table within a product
     N, K = 3, 4
     rng = np.random.default_rng(8)
     v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
     v[[0, N - 1, N + 2]] = 0.0
     a0 = CoeffSeq(N, v)
-    for project in (False, True):
+    for block, project in itertools.product((ops._BLOCK, 64), (False, True)):
+        monkeypatch.setattr(ops, "_BLOCK", block)
         deep = depth_term_tables(a0, K, project)
         for k in range(K):
             got, own = deep[k], depth_term_tables(a0, k, project)[k]
@@ -391,5 +395,7 @@ def test_config_validation():
         SeriesConfig(N=4, K=1, t_grid=(0.5, 0.2))
     with pytest.raises(ValueError):
         SeriesConfig(N=4, K=1, t_grid=(1.5,))
+    with pytest.raises(ValueError, match="at least one time"):
+        SeriesConfig(N=4, K=1, t_grid=())
     with pytest.raises(ValueError):
         solve_series(CoeffSeq.zeros(3), SeriesConfig(N=4, K=1, t_grid=(0.1,)))
