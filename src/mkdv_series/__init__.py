@@ -15,10 +15,7 @@ from .trees import (
     TernaryTree,
     enumerate_trees,
     fuss_catalan,
-    graft,
-    node_level,
     odd_even_partition,
-    split_subtrees,
 )
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
 from .indexer import (

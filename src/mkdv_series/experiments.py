@@ -38,7 +38,7 @@ from . import __version__
 from .indexer import build_assignment
 from .oracle import OracleConfig, invariant_drift, oracle_solve, oracle_solve_increment, picard_iterate, rhs_route
 from .ops import integral_bound, integral_exact, kernel_norm_scan, parity_bound
-from .series import SeriesConfig, ode_residual, radius_certificate, solve_series
+from .series import SeriesConfig, ode_residual, radius_certificate, solve_mkdv_gauged, solve_series
 from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, random_real_field, truncate_modes, weighted_norm
 from .trees import enumerate_trees
 
@@ -200,9 +200,9 @@ def _lemma_tree_task(args):
             continue
         got += 1
         for t in times:
-            I = abs(integral_exact(tree, a, t))
-            bound = integral_bound(tree, a, t, C)
-            par = parity_bound(tree, a, t)
+            I = abs(integral_exact(a, t))
+            bound = integral_bound(a, t, C)
+            par = parity_bound(a, t)
             rows.append(
                 (
                     tree_string,
@@ -372,14 +372,18 @@ def _exp_residual(params, out, seed, jobs):
     project = bool(params.pop("project_internal", True))
     tol = float(params.pop("tol", 1e-6))
     equation = str(params.pop("equation", "modified_mkdv"))
+    # the plain flow is the mean-subtracted series translated by the mass
+    solvers = {"modified_mkdv": solve_series, "mkdv": solve_mkdv_gauged}
+    if equation not in solvers:
+        raise ExperimentError(f"unknown equation {equation!r}; expected one of {sorted(solvers)}")
     a0 = load_initial_data(data, N)
     grid = tuple(np.linspace(0.0, t, grid_points))
     rows = []
     final_res = None
     for KK in range(1, K + 1):
         cfg = SeriesConfig(N=N, K=KK, t_grid=grid, project_internal=project)
-        sol = solve_series(a0, cfg)
-        r = ode_residual(sol, a0, cfg, equation)
+        sol = solvers[equation](a0, cfg)
+        r = ode_residual(sol, a0, cfg)
         rows.append((KK, r))
         final_res = r
     _csv(out / "residual.csv", ["K", "residual"], rows)

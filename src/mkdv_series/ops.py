@@ -11,19 +11,27 @@ Three routes compute the same sums, cross-checked in the tests:
 
 * the scalar reference on :class:`~mkdv_series.exppoly.ExpPoly`
   (``apply_tree_operator_reference``), summed assignment by assignment;
-* the per-tree fold (``tree_term_table``), the depth fold's reference: a
-  node's value is a table of rows (mode, power, frequency, coefficient)
-  of an exponential polynomial in time, and the literal trilinear node
-  (star and resonant triples, sigma) runs once per node, so assignments
-  are summed node by node, not over the (2N+1)^(2k+1) leaf-mode grid;
+* the per-tree fold (``tree_term_table``), the depth fold's reference:
+  the literal trilinear node (star and resonant triples) runs once per
+  node, so assignments are summed node by node, not over the
+  (2N+1)^(2k+1) leaf-mode grid;
 * the depth fold (``depth_term_tables``), the solver's route: the sum A_k
   of every tree with k internal nodes as two bilinear products of lower
-  depths' tables, in the interaction picture where frequencies add.
+  depths' tables.
+
+In both folds a node's value is a table of rows (n, m, u, c): sum
+c s^m e^{iws} at mode n in the node's time s, held in the interaction
+picture u = w - n^3, where w = w1 + w2 + w3 + sigma (sigma = n^3 - n1^3
+- n2^3 - n3^3) is u = u1 + u2 + u3.  Rows carry u from the leaves
+(u = -n^3) to the returned table; w = u + n^3 is formed only to
+integrate (``_antiderivative``) and to return (``_table``).  For a fixed
+n, order by u is order by w, so a merge sums in the same order in either.
 
 Both folds keep |n| <= N at a node with internal projection, otherwise
 |n| <= (L - l + 1) N for a node over l of L leaves (L = 2K+1 in the depth
 fold): the modes the other leaves can bring back to the cutoff.  Both
-pair rows through ``_pairs`` and sum the product blocks through ``_sum``.
+pair rows through ``_pairs``, sum the product blocks through ``_sum`` and
+return through ``_table``.
 """
 
 from __future__ import annotations
@@ -69,12 +77,11 @@ def tree_integral_poly(tree: TernaryTree, sigmas: tuple) -> ExpPoly:
     an assignment only through this profile."""
     if len(sigmas) != tree.internal_count:
         raise ValueError("one frequency per internal node required")
-    return _tree_integral_poly(tree.to_string(), tuple(int(s) for s in sigmas))
+    return _tree_integral_poly(tree, tuple(int(s) for s in sigmas))
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _tree_integral_poly(shape: str, sigmas: tuple) -> ExpPoly:
-    tree = TernaryTree.from_string(shape)
+def _tree_integral_poly(tree: TernaryTree, sigmas: tuple) -> ExpPoly:
     rank = {v: i for i, v in enumerate(tree.internal_nodes)}
 
     def build(v: int) -> ExpPoly:
@@ -92,42 +99,38 @@ def _tree_integral_poly(shape: str, sigmas: tuple) -> ExpPoly:
     return poly
 
 
-def integral_exact(tree: TernaryTree, a: IndexAssignment, t: float) -> complex:
-    """Exact value of the oscillatory integral over the order polytope at
-    time t for the given assignment.  Empty tree (single leaf) gives 1."""
+def integral_exact(a: IndexAssignment, t: float) -> complex:
+    """Exact value of the oscillatory integral over the order polytope of
+    the assignment's tree at time t.  Empty tree (single leaf) gives 1."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    if a.tree.to_string() != tree.to_string() or len(a.j) != tree.size:
-        raise ValueError("assignment inconsistent with tree")
-    if tree.internal_count == 0:
+    if a.tree.internal_count == 0:
         return 1.0 + 0.0j
-    return ep_eval(tree_integral_poly(tree, a.sigmas), t)
+    return ep_eval(tree_integral_poly(a.tree, a.sigmas), t)
 
 
-def integral_bound(tree: TernaryTree, a: IndexAssignment, t: float, C: float = 16.0) -> float:
+def integral_bound(a: IndexAssignment, t: float, C: float = 16.0) -> float:
     """Decay bound (C t)^{k/2} * prod_v <sigma_v>^{-1/2} on the integral."""
     if C <= 0:
         raise ValueError("C must be positive")
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    k = tree.internal_count
+    k = a.tree.internal_count
     prod = float(np.prod(1.0 / np.sqrt(bracket(np.array(a.sigmas, dtype=float))))) if k else 1.0
     return (C * t) ** (k / 2.0) * prod
 
 
-def parity_bound(tree: TernaryTree, a: IndexAssignment, t: float) -> float:
+def parity_bound(a: IndexAssignment, t: float) -> float:
     """Intermediate bound 2^k * t^{|E|} * prod_{v odd level} <sigma_v>^{-1}
     obtained by integrating the odd-level time variables first."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    odd, even = odd_even_partition(tree)
-    internal = tree.internal_nodes
-    k = len(internal)
+    odd, even = odd_even_partition(a.tree)
     prod = 1.0
-    for v, s in zip(internal, a.sigmas):
+    for v, s in zip(a.tree.internal_nodes, a.sigmas):
         if v in odd:
             prod /= float(bracket(s))
-    return 2.0**k * t ** len(even) * prod
+    return 2.0 ** len(a.sigmas) * t ** len(even) * prod
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ _SCAN_ROWS = 512
 # depth_term_tables(N=6, K=5, unprojected) merged 1.25e8 rows at 1 and ran 10-25% slower;
 # at 4, 1.08e8 (1.03e8 merging once per table pair), time level, max RSS 591 -> 120 MB.
 _FOLD = 4
-_EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)  # (n, m, w, c)
+_EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)  # (n, m, u, c)
 
 
 @dataclass(frozen=True)
@@ -173,44 +176,45 @@ def _bincount_complex(inverse, weights, size):
 def _merge(rows):
     """Sum the rows that share (mode, power, frequency), on one packed
     int64 key whose digit ranges are the rows' own max |n|, max m and
-    max |w|; the result is sorted by (n, m, w), and rows that cancel to
+    max |u|; the result is sorted by (n, m, u), and rows that cancel to
     exactly zero are dropped.  Raises ValueError when the key range does
     not fit in int64."""
-    n, m, w, c = rows
+    n, m, u, c = rows
     if not n.size:
         return rows
     # min and max rather than abs: no temporary arrays on the large blocks
     n_max = max(-int(n.min()), int(n.max()))
-    w_max = max(-int(w.min()), int(w.max()))
+    u_max = max(-int(u.min()), int(u.max()))
     m_max = int(m.max())
-    m_rad, w_rad = m_max + 1, 2 * w_max + 1
-    if (2 * n_max + 1) * m_rad * w_rad >= 1 << 63:
+    m_rad, u_rad = m_max + 1, 2 * u_max + 1
+    if (2 * n_max + 1) * m_rad * u_rad >= 1 << 63:
         raise ValueError("(mode, power, frequency) key range overflows int64")
-    keys, inverse = np.unique(((n + n_max) * m_rad + m) * w_rad + (w + w_max), return_inverse=True)
+    keys, inverse = np.unique(((n + n_max) * m_rad + m) * u_rad + (u + u_max), return_inverse=True)
     c = _bincount_complex(inverse, c, keys.size)
-    rest, w = np.divmod(keys, w_rad)
+    rest, u = np.divmod(keys, u_rad)
     n, m = np.divmod(rest, m_rad)
     nz = c != 0
-    return n[nz] - n_max, m[nz], w[nz] - w_max, c[nz]
+    return n[nz] - n_max, m[nz], u[nz] - u_max, c[nz]
 
 
 def _antiderivative(rows):
-    """Rows of int_0^s of the given rows.  A resonant row (frequency 0)
-    raises its power; c s^m e^{iws} integrates by parts into powers m..0
-    at frequency w, plus the constant that makes the value 0 at s = 0."""
-    n, m, w, c = rows
+    """Rows of int_0^s of the given rows, u in and u out.  With w = u + n^3,
+    a resonant row (w = 0) raises its power; c s^m e^{iws} integrates by
+    parts into powers m..0 at frequency w, plus the constant (w = 0, so
+    u = -n^3) that makes the value 0 at s = 0."""
+    n, m, u, c = rows
+    w = u + n**3
     res = w == 0
-    out = [(n[res], m[res] + 1, w[res], c[res] / (m[res] + 1))]
-    n, m, w, c = n[~res], m[~res], w[~res], c[~res]
-    iw = 1j * w
+    out = [(n[res], m[res] + 1, u[res], c[res] / (m[res] + 1))]
+    n, m, u, c = n[~res], m[~res], u[~res], c[~res]
+    iw = 1j * w[~res]
     while n.size:
         c = c / iw
-        out.append((n, m, w, c))
+        out.append((n, m, u, c))
         last = m == 0
-        zero = m[last]
-        out.append((n[last], zero, zero, -c[last]))
+        out.append((n[last], m[last], -n[last] ** 3, -c[last]))
         more = ~last
-        n, m, w, iw, c = n[more], m[more] - 1, w[more], iw[more], -c[more] * m[more]
+        n, m, u, iw, c = n[more], m[more] - 1, u[more], iw[more], -c[more] * m[more]
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
@@ -231,22 +235,23 @@ def _pairs(n1, n2, bound):
 
 def _node(children, bound):
     """Blocks of the trilinear node's products on one child triple: output
-    0 < |n| <= bound, star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0) with
-    weight -in/3, or resonant (j, -j, j) with weight +in; powers add, and
-    frequencies add plus sigma.  Unmerged and not yet integrated."""
-    (n1, m1, w1, c1), (n2, m2, w2, c2), (n3, m3, w3, c3) = children
+    0 < |n| <= bound, star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0: no pair
+    sum vanishes) with weight -in/3, or resonant (j, -j, j) with weight
+    +in; powers and frequencies u add.  Unmerged and not yet integrated."""
+    (n1, m1, u1, c1), (n2, m2, u2, c2), (n3, m3, u3, c3) = children
     for i1, i2 in _pairs(n1, n2, bound + np.abs(n3).max(initial=0)):
         n12 = n1[i1] + n2[i2]
         for p, j3 in _pairs(n12, n3, bound):
             j1, j2, k3 = i1[p], i2[p], n3[j3]
             s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
-            n, sig = s12 + k3, 3 * s12 * s23 * s31
+            n = s12 + k3
+            star = (s12 != 0) & (s23 != 0) & (s31 != 0)
             res = (s12 == 0) & (s23 == 0)
-            keep = np.nonzero(((sig != 0) | res) & (n != 0))[0]
-            j1, j2, j3, n, sig, res = (x[keep] for x in (j1, j2, j3, n, sig, res))
+            keep = np.nonzero((star | res) & (n != 0))[0]
+            j1, j2, j3, n, res = (x[keep] for x in (j1, j2, j3, n, res))
             weight = np.where(res, 1j * n, (-1j / 3.0) * n)
-            m, w = m1[j1] + m2[j2] + m3[j3], w1[j1] + w2[j2] + w3[j3] + sig
-            yield n, m, w, weight * c1[j1] * c2[j2] * c3[j3]
+            m, u = m1[j1] + m2[j2] + m3[j3], u1[j1] + u2[j2] + u3[j3]
+            yield n, m, u, weight * c1[j1] * c2[j2] * c3[j3]
 
 
 def _product(pairs, bound):
@@ -277,53 +282,61 @@ def _check_mode_range(k, N):
 
 
 def _support_rows(seq):
-    """A datum as a leaf's rows: its support, with m = w = 0."""
+    """A datum as a leaf's rows: its support, m = 0 and w = 0 (u = -n^3)."""
     support = np.nonzero(seq.values)[0]
-    zero = np.zeros(support.size, dtype=np.int64)
-    return support - seq.cutoff, zero, zero, seq.values[support]
+    n = support - seq.cutoff
+    return n, np.zeros(support.size, dtype=np.int64), -(n**3), seq.values[support]
 
 
-def tree_term_table(
-    tree: TernaryTree,
-    leaf_data,
-    N: int,
-    project_internal: bool = False,
-) -> TermTable:
+def _table(rows, N):
+    """The TermTable of a fold's rows: the rows with |n| <= N, at their
+    frequency w = u + n^3."""
+    n, m, u, c = rows
+    keep = np.abs(n) <= N
+    n = n[keep]
+    return TermTable(N, n + N, m[keep], u[keep] + n**3, c[keep])
+
+
+def _cutoff(tree, leaf_data) -> int:
+    """The cutoff N that the leaf data share, one datum per leaf."""
+    if len(leaf_data) != len(tree.leaves):
+        raise ValueError(f"need {len(tree.leaves)} leaf sequences, got {len(leaf_data)}")
+    cutoffs = {d.cutoff for d in leaf_data}
+    if len(cutoffs) != 1:
+        raise ValueError(f"all leaf data must share one cutoff, got {sorted(cutoffs)}")
+    return cutoffs.pop()
+
+
+def tree_term_table(tree: TernaryTree, leaf_data, project_internal: bool = False) -> TermTable:
     """Fold the literal trilinear node bottom-up over one tree: the
     reference the depth fold is checked against.
 
-    A node's value is a table of rows (mode n, power m, frequency w,
-    coefficient c), sum c s^m e^{iws} at mode n in the node's time s; a
-    leaf gives its datum's support with m = w = 0.  Summing over the
-    pairings at every node sums over every admissible assignment of leaf
-    modes, so the root's table is the tree operator.  A node over l of the
+    A node's value is a table of rows (mode n, power m, frequency u,
+    coefficient c) in the module's frame; a leaf gives its datum's support
+    with m = 0.  Summing over the pairings at every node sums over every
+    admissible assignment of leaf modes, so the root's table is the tree
+    operator.  The cutoff N is the leaf data's.  A node over l of the
     tree's L leaves keeps |n| <= (L - l + 1) N, the only modes the other
     leaves can bring back to the cutoff (N at the root); with
     ``project_internal`` every node keeps |n| <= N.
     """
-    leaves = tree.leaves
-    if len(leaf_data) != len(leaves):
-        raise ValueError(f"need {len(leaves)} leaf sequences, got {len(leaf_data)}")
-    for d in leaf_data:
-        if d.cutoff != N:
-            raise ValueError("all leaf data must share the cutoff N")
+    N = _cutoff(tree, leaf_data)
     k = tree.internal_count
     if k == 0:
         raise ValueError("single-leaf tree has no table; handled by caller")
     _check_mode_range(k, N)
 
-    data = dict(zip(leaves, leaf_data))
+    data = dict(zip(tree.leaves, leaf_data))
     rows, under = {}, {}
-    for v in range(tree.size - 1, -1, -1):  # preorder ids: children after parents
+    for v in range(tree.size - 1, -1, -1):  # children have larger ids than their parent
         ch = tree.children[v]
         if ch is None:
             rows[v], under[v] = _support_rows(data[v]), 1
         else:
             under[v] = sum(under[c] for c in ch)
-            bound = N if project_internal else (len(leaves) - under[v] + 1) * N
+            bound = N if project_internal else (len(leaf_data) - under[v] + 1) * N
             rows[v] = _merge(_antiderivative(_sum(_node(tuple(rows.pop(c) for c in ch), bound))))
-    n, m, w, c = rows[0]
-    return TermTable(N, n + N, m, w, c)
+    return _table(rows[0], N)
 
 
 def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> list:
@@ -344,11 +357,11 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     + in a b~ c.  Summed over the triples, relabelling makes the three S
     terms equal and the three diagonals equal, so the diagonals cancel
     the resonant branch and -(in/3) (full - 3 S(A_k1, A_k2) A_k3) is left.
-    The full sum holds the mode-0 pair rows, S, once: 1 - 3 = -2.  Rows
-    carry u = w - n^3, which adds under (x) because sigma = n^3 - n1^3 -
-    n2^3 - n3^3; w = u + n^3 is formed only to integrate and to return.
-    What the star mask cancels exactly cancels here to rounding, so a
-    table can keep rows of round-off size (<= 1e-15 of its largest).
+    The full sum holds the mode-0 pair rows, S, once: 1 - 3 = -2.  In the
+    module's frame u (x) adds modes, powers and frequencies and multiplies
+    coefficients.  What the star mask cancels exactly cancels here to
+    rounding, so a table can keep rows of round-off size (<= 1e-15 of its
+    largest).
 
     Depth k keeps |n| <= bound(k): N with ``project_internal``, otherwise
     (2(K-k)+1) N, which later depths can still bring back to the cutoff;
@@ -361,19 +374,13 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     if K > 0:
         _check_mode_range(K, N)
     bound = [N if project_internal else (2 * (K - k) + 1) * N for k in range(K + 1)]
-    n, m, u, c = _support_rows(a0)
-    A, R = [(n, m, u - n**3, c)], []
+    A, R = [_support_rows(a0)], []
     for k in range(1, K + 1):
         n, m, u, c = _sum(_product([(A[k1], A[k - 1 - k1]) for k1 in range(k)], bound[k] + N))
         R.append((n, m, u, np.where(n == 0, -2.0 * c, c)))
         n, m, u, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], bound[k]))
-        n, m, w, c = _merge(_antiderivative((n, m, u + n**3, (-1j / 3.0) * n * c)))
-        A.append((n, m, w - n**3, c))
-    tables = []
-    for n, m, u, c in A:
-        keep = np.abs(n) <= N
-        tables.append(TermTable(N, n[keep] + N, m[keep], u[keep] + n[keep] ** 3, c[keep]))
-    return tables
+        A.append(_merge(_antiderivative((n, m, u, (-1j / 3.0) * n * c))))
+    return [_table(rows, N) for rows in A]
 
 
 def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
@@ -399,48 +406,29 @@ def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
     return out
 
 
-def apply_tree_operator(
-    tree: TernaryTree,
-    leaf_data,
-    t: float,
-    N: int,
-    project_internal: bool = False,
-) -> CoeffSeq:
+def apply_tree_operator(tree: TernaryTree, leaf_data, t: float, project_internal: bool = False) -> CoeffSeq:
     """The multilinear operator of one tree applied to per-leaf data.
 
     Sums expansion coefficient x leaf-data product x exact oscillatory
-    integral over every admissible assignment with output mode in [-N, N].
-    A single-leaf tree is the identity on its one datum.
+    integral over every admissible assignment with output mode in [-N, N],
+    N the leaf data's cutoff.  A single-leaf tree is the identity on its
+    one datum.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    N = _cutoff(tree, leaf_data)
     if tree.internal_count == 0:
-        if len(leaf_data) != 1:
-            raise ValueError("single-leaf tree takes exactly one sequence")
-        if leaf_data[0].cutoff != N:
-            raise ValueError("cutoff mismatch")
         return leaf_data[0]
-    table = tree_term_table(tree, leaf_data, N, project_internal)
-    return CoeffSeq(N, evaluate_term_table(table, [t])[0])
+    return CoeffSeq(N, evaluate_term_table(tree_term_table(tree, leaf_data, project_internal), [t])[0])
 
 
-def apply_tree_operator_reference(
-    tree: TernaryTree,
-    leaf_data,
-    t: float,
-    N: int,
-    project_internal: bool = False,
-) -> CoeffSeq:
+def apply_tree_operator_reference(tree: TernaryTree, leaf_data, t: float, project_internal: bool = False) -> CoeffSeq:
     """Brute-force evaluation through the scalar assignment stream: every
     tuple of leaf modes in the data's support, one exact integral each.
     Used to pin down the fold on small cases."""
+    N = _cutoff(tree, leaf_data)
     if tree.internal_count == 0:
-        if len(leaf_data) != 1:
-            raise ValueError("single-leaf tree takes exactly one sequence")
         return leaf_data[0]
-    leaves = tree.leaves
-    if len(leaf_data) != len(leaves):
-        raise ValueError(f"need {len(leaves)} leaf sequences, got {len(leaf_data)}")
     out = np.zeros(2 * N + 1, dtype=np.complex128)
     # leaf modes where some datum vanishes contribute nothing
     supports = [[int(m) - N for m in np.nonzero(d.values)[0]] for d in leaf_data]
@@ -453,7 +441,7 @@ def apply_tree_operator_reference(
         w = expansion_coefficient(a)
         for d, m in zip(leaf_data, modes):
             w *= d[m]
-        out[a.j[0] + N] += w * integral_exact(tree, a, t)
+        out[a.j[0] + N] += w * integral_exact(a, t)
     return CoeffSeq(N, out)
 
 
@@ -490,10 +478,8 @@ def majorant_tree(tree: TernaryTree, leaf_data) -> CoeffSeq:
     trilinear majorant at each internal node, leaves contribute their data's
     moduli.  Dominates the modulus of the exact tree operator mode by mode
     (up to the (Ct)^{k/2} integral factor) for modulus-even data."""
-    leaves = tree.leaves
-    if len(leaf_data) != len(leaves):
-        raise ValueError(f"need {len(leaves)} leaf sequences, got {len(leaf_data)}")
-    pos = {v: i for i, v in enumerate(leaves)}
+    _cutoff(tree, leaf_data)
+    pos = {v: i for i, v in enumerate(tree.leaves)}
 
     def walk(v) -> CoeffSeq:
         if tree.is_leaf(v):

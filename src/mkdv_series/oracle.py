@@ -62,8 +62,8 @@ __all__ = [
     "oracle_solve_increment",
     "invariant_drift",
     "picard_iterate",
+    "duhamel_integral",
     "cumulative_simpson",
-    "uniform_spacing",
 ]
 
 _EQUATIONS = ("modified_mkdv", "mkdv")
@@ -282,13 +282,27 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def uniform_spacing(times: np.ndarray) -> float:
-    """Step of a uniform time grid; raises ValueError if the grid is not
-    uniform."""
+def _grid_step(times: np.ndarray) -> float:
+    """Step of a time grid the cumulative Simpson rule can integrate from
+    0; raises ValueError unless the grid is uniform, has at least 9
+    points and starts at t = 0."""
+    if len(times) < 9:
+        raise ValueError("grid too coarse: need at least 9 points")
+    if times[0] != 0.0:
+        raise ValueError("the grid must start at t = 0")
     diffs = np.diff(times)
-    if diffs.size == 0 or np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(diffs[0], 1e-30):
+    if np.max(np.abs(diffs - diffs[0])) > 1e-12 * max(diffs[0], 1e-30):
         raise ValueError("a uniform time grid is required")
     return float(diffs[0])
+
+
+def duhamel_integral(states: np.ndarray, times, equation: str = "modified_mkdv") -> np.ndarray:
+    """int_0^t RHS(a(s), s) ds at each grid time, for the [T, 2N+1] stack
+    of states a(t) on the grid: the right-hand side of every row, summed
+    by the cumulative Simpson rule.  The grid must be uniform with at
+    least 9 points starting at t = 0."""
+    times = np.asarray(times, dtype=float)
+    return cumulative_simpson(oracle_rhs_grid(states, times, equation), _grid_step(times))
 
 
 def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int,
@@ -296,17 +310,13 @@ def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int,
     """Successive substitution of the integral equation, starting from the
     constant-in-time trajectory.
 
-    Each sweep evaluates the right-hand side on the whole grid and applies
-    the cumulative Simpson rule, so the result is independent of the tree
+    Each sweep takes the Duhamel integral of the whole grid's trajectory
+    (:func:`duhamel_integral`), so the result is independent of the tree
     machinery; it is the anti-drift oracle for the series pipeline.
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("the grid must start at t = 0")
-    if len(times) < 9:
-        raise ValueError("grid too coarse: need at least 9 points")
-    dx = uniform_spacing(times)
+    _grid_step(times)
     traj = np.tile(a0.values, (len(times), 1))
     for _ in range(iterations):
-        traj = a0.values[None, :] + cumulative_simpson(oracle_rhs_grid(traj, times, equation), dx)
+        traj = a0.values[None, :] + duhamel_integral(traj, times, equation)
     return Trajectory(a0.cutoff, times, traj)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .oracle import cumulative_simpson, oracle_rhs_grid, uniform_spacing
+from .oracle import duhamel_integral
 from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, weighted_norm
 from .ops import depth_term_tables, evaluate_term_table
 
@@ -216,28 +216,17 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     return replace(sol, equation="mkdv", coeffs=coeffs, gauge_mass=c)
 
 
-def ode_residual(
-    sol: SeriesSolution,
-    a0: CoeffSeq,
-    cfg: SeriesConfig,
-    equation: str | None = None,
-) -> float:
+def ode_residual(sol: SeriesSolution, a0: CoeffSeq, cfg: SeriesConfig) -> float:
     """Largest defect |a(n,t) - a(n,0) - int_0^t RHS ds| over the grid.
 
-    The right-hand side is evaluated on the computed trajectory and
-    integrated with the cumulative Simpson rule, so the value measures how
-    well the truncated series satisfies its own integral equation.  The
-    grid must be uniform with at least 9 points starting at 0.  ``cfg`` is
-    not read (the solution carries its own); it stays in the signature for
-    callers that pass it positionally.
+    The right-hand side is that of the solution's own equation
+    (``sol.equation``), evaluated on the computed trajectory and
+    integrated with the cumulative Simpson rule (``duhamel_integral``), so
+    the value measures how well the truncated series satisfies its own
+    integral equation.  The grid must be uniform with at least 9 points
+    starting at 0.  ``cfg`` is not read (the solution carries its own); it
+    stays in the signature for callers that pass it positionally.
     """
-    times = sol.times
-    if len(times) < 9:
-        raise ValueError("grid too coarse for the residual: need >= 9 points")
-    if times[0] != 0.0:
-        raise ValueError("residual grid must start at t = 0")
-    dx = uniform_spacing(times)
     states = np.stack([c.values for c in sol.coeffs])
-    integral = cumulative_simpson(oracle_rhs_grid(states, times, equation or sol.equation), dx)
-    defect = states - a0.values[None, :] - integral
+    defect = states - a0.values[None, :] - duhamel_integral(states, sol.times, sol.equation)
     return float(np.max(np.abs(defect)))

@@ -213,6 +213,17 @@ def test_cli_main_exit_codes(tmp_path):
     assert main(["--experiment", "residual", "--param", "notkeyvalue", "--out", out]) == EXIT_BAD_SPEC
 
 
+def test_residual_of_the_plain_flow(tmp_path):
+    # the plain flow's residual is taken on the gauged series; on the
+    # mean-subtracted one it stalls near 1.25e-5 for every K
+    assert main(["--experiment", "residual", "--param", 'equation="mkdv"', "--out", str(tmp_path / "a")]) == EXIT_OK
+    rows = (tmp_path / "a" / "residual.csv").read_text().strip().split("\n")[1:]
+    res = [float(r.split(",")[1]) for r in rows]
+    assert len(res) == 3 and res[0] > res[1] > res[2]
+    bogus = ["--experiment", "residual", "--param", 'equation="kdv"', "--out", str(tmp_path / "b")]
+    assert main(bogus) == EXIT_BAD_SPEC
+
+
 def test_gauge_check_small(tmp_path):
     spec = ExperimentSpec("gauge-check", {"N": 6, "eps": 0.2, "t": 0.05, "dt": 1e-3, "tol": 1e-8})
     rc = run_experiment(spec, str(tmp_path))

@@ -51,13 +51,13 @@ def simpson_phase_integral(sig, t, panels=10_000):
 
 def test_integral_resonant_is_t():
     a = build_assignment(T1, (5, -5, 5))
-    assert integral_exact(T1, a, 0.0) == 0.0
-    assert integral_exact(T1, a, 0.73) == pytest.approx(0.73)
+    assert integral_exact(a, 0.0) == 0.0
+    assert integral_exact(a, 0.73) == pytest.approx(0.73)
 
 
 def test_integral_k1_vs_quadrature():
     a = build_assignment(T1, (1, 2, 3))  # sigma = 180
-    got = integral_exact(T1, a, 0.01)
+    got = integral_exact(a, 0.01)
     assert abs(got - simpson_phase_integral(180, 0.01)) < 1e-10
     assert abs(got - (np.exp(1.8j) - 1.0) / 180j) < 1e-15
 
@@ -76,7 +76,7 @@ def test_integral_k2_chain_vs_nested_quadrature():
     f = lambda sp, s: np.exp(1j * (24 * s + 180 * sp))
     re = dblquad(lambda sp, s: f(sp, s).real, 0, t, 0, lambda s: s, epsabs=1e-12)[0]
     im = dblquad(lambda sp, s: f(sp, s).imag, 0, t, 0, lambda s: s, epsabs=1e-12)[0]
-    assert abs(integral_exact(CHAIN, a, t) - (re + 1j * im)) < 1e-9
+    assert abs(integral_exact(a, t) - (re + 1j * im)) < 1e-9
 
 
 def test_integral_zero_at_time_zero():
@@ -87,15 +87,13 @@ def test_integral_zero_at_time_zero():
             a = build_assignment(tree, lm.tolist())
             if a is None:
                 continue
-            assert abs(integral_exact(tree, a, 0.0)) < 1e-15
+            assert abs(integral_exact(a, 0.0)) < 1e-15
 
 
 def test_integral_rejects_bad_inputs():
     a = build_assignment(T1, (1, 2, 3))
     with pytest.raises(ValueError):
-        integral_exact(T1, a, 1.5)
-    with pytest.raises(ValueError):
-        integral_exact(CHAIN, a, 0.5)
+        integral_exact(a, 1.5)
 
 
 def test_fold_matches_scalar_integral_on_delta_data():
@@ -122,7 +120,7 @@ def test_fold_matches_scalar_integral_on_delta_data():
     for a in cases:
         tree = a.tree
         data = [CoeffSeq.delta(N, a.j[v], 1.0) for v in tree.leaves]
-        got = evaluate_term_table(tree_term_table(tree, data, N), ts)[:, a.j[0] + N]
+        got = evaluate_term_table(tree_term_table(tree, data), ts)[:, a.j[0] + N]
         poly = tree_integral_poly(tree, a.sigmas)
         for j, t in enumerate(ts):
             assert abs(got[j] - expansion_coefficient(a) * ep_eval(poly, t)) < 1e-13
@@ -134,9 +132,9 @@ def test_fold_matches_scalar_integral_on_delta_data():
 def test_bound_examples():
     leaf = enumerate_trees(0)[0]
     a0 = build_assignment(leaf, (0,))
-    assert integral_bound(leaf, a0, 0.9, 16.0) == pytest.approx(1.0)
+    assert integral_bound(a0, 0.9, 16.0) == pytest.approx(1.0)
     res = build_assignment(T1, (5, -5, 5))
-    assert integral_bound(T1, res, 0.25, 16.0) == pytest.approx(2.0)
+    assert integral_bound(res, 0.25, 16.0) == pytest.approx(2.0)
 
 
 def test_lemma_bound_dominates_sampled():
@@ -151,16 +149,16 @@ def test_lemma_bound_dominates_sampled():
                     continue
                 got += 1
                 for t in (0.01, 0.1, 1.0):
-                    I = abs(integral_exact(tree, a, t))
-                    assert I <= integral_bound(tree, a, t, 16.0)
-                    assert I <= parity_bound(tree, a, t)
+                    I = abs(integral_exact(a, t))
+                    assert I <= integral_bound(a, t, 16.0)
+                    assert I <= parity_bound(a, t)
 
 
 def test_parity_bound_formula():
     # chain: root at even level, child at odd level
     a = chain_profile_assignment(24, 180)
     t = 0.3
-    assert parity_bound(CHAIN, a, t) == pytest.approx(4.0 * t / bracket(180))
+    assert parity_bound(a, t) == pytest.approx(4.0 * t / bracket(180))
 
 
 # -- the multilinear operator ----------------------------------------------
@@ -169,13 +167,13 @@ def test_parity_bound_formula():
 def test_identity_tree():
     leaf = enumerate_trees(0)[0]
     d = CoeffSeq.delta(4, 2, 0.3 + 0.1j)
-    out = apply_tree_operator(leaf, [d], 0.5, 4)
+    out = apply_tree_operator(leaf, [d], 0.5)
     assert np.array_equal(out.values, d.values)
 
 
 def test_delta_data_single_triple():
     d = CoeffSeq.delta(3, 1, 1.0)
-    out = apply_tree_operator(T1, [d, d, d], 0.05, 3)
+    out = apply_tree_operator(T1, [d, d, d], 0.05)
     expect = -1j * (np.exp(24j * 0.05) - 1.0) / 24j
     assert abs(out[3] - expect) < 1e-15
     for n in (-3, -2, -1, 0, 1, 2):
@@ -185,7 +183,7 @@ def test_delta_data_single_triple():
 def test_cosine_resonant_term():
     c = CoeffSeq.cosine(1, 1.0)  # amplitude 1/2 at modes +-1
     t = 0.1
-    out = apply_tree_operator(T1, [c, c, c], t, 1)
+    out = apply_tree_operator(T1, [c, c, c], t)
     assert out[1] == pytest.approx(1j * t / 8)  # branch (1, -1, 1)
     assert out[-1] == pytest.approx(-1j * t / 8)
 
@@ -203,8 +201,8 @@ def test_vectorized_matches_reference():
                     v[rng.random(2 * N + 1) < zero_frac] = 0.0
                     data.append(CoeffSeq(N, v))
                 for project in (False, True):
-                    fast = apply_tree_operator(tree, data, 0.3, N, project)
-                    slow = apply_tree_operator_reference(tree, data, 0.3, N, project)
+                    fast = apply_tree_operator(tree, data, 0.3, project)
+                    slow = apply_tree_operator_reference(tree, data, 0.3, project)
                     assert np.max(np.abs(fast.values - slow.values)) < 1e-13
 
 
@@ -215,7 +213,7 @@ def test_key_range_from_rows():
     N = 6000
     d = CoeffSeq.delta(N, 1, 1.0)
     a = build_assignment(CHAIN, (1,) * 5)
-    got = evaluate_term_table(tree_term_table(CHAIN, [d] * 5, N), [0.3])[0, a.j[0] + N]
+    got = evaluate_term_table(tree_term_table(CHAIN, [d] * 5), [0.3])[0, a.j[0] + N]
     want = expansion_coefficient(a) * ep_eval(tree_integral_poly(CHAIN, a.sigmas), 0.3)
     assert abs(got - want) < 1e-13
 
@@ -239,9 +237,9 @@ def test_operator_multilinear_in_each_slot():
         CoeffSeq(N, rng.normal(size=5) + 1j * rng.normal(size=5)) for _ in range(3)
     ]
     lam = 0.3 - 1.1j
-    base = apply_tree_operator(tree, data, 0.4, N)
+    base = apply_tree_operator(tree, data, 0.4)
     scaled_data = [data[0].with_values(lam * data[0].values), data[1], data[2]]
-    scaled = apply_tree_operator(tree, scaled_data, 0.4, N)
+    scaled = apply_tree_operator(tree, scaled_data, 0.4)
     assert np.max(np.abs(scaled.values - lam * base.values)) < 1e-14
 
 
@@ -254,16 +252,29 @@ def test_operator_vanishes_at_t_zero():
                 CoeffSeq(N, rng.normal(size=5) + 1j * rng.normal(size=5))
                 for _ in tree.leaves
             ]
-            out = apply_tree_operator(tree, data, 0.0, N)
+            out = apply_tree_operator(tree, data, 0.0)
             assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_leaf_count_mismatch_rejected():
     d = CoeffSeq.delta(2, 1, 1.0)
     with pytest.raises(ValueError):
-        apply_tree_operator(T1, [d, d], 0.1, 2)
+        apply_tree_operator(T1, [d, d], 0.1)
     with pytest.raises(ValueError):
-        apply_tree_operator(T1, [d, d, CoeffSeq.delta(3, 1, 1.0)], 0.1, 2)
+        apply_tree_operator(T1, [d, d, CoeffSeq.delta(3, 1, 1.0)], 0.1)
+
+
+def test_mixed_cutoffs_rejected():
+    # the operators read the cutoff N from the leaf data, which must share
+    # one; the reference once summed such data into zeros without an error
+    mixed = [CoeffSeq.delta(2, 1, 1.0)] * 2 + [CoeffSeq.delta(3, 1, 1.0)]
+    for op in (apply_tree_operator, apply_tree_operator_reference):
+        with pytest.raises(ValueError, match="share one cutoff"):
+            op(T1, mixed, 0.05)
+    with pytest.raises(ValueError, match="share one cutoff"):
+        tree_term_table(T1, mixed)
+    with pytest.raises(ValueError, match="share one cutoff"):
+        majorant_tree(T1, mixed)
 
 
 # -- majorant ---------------------------------------------------------------
@@ -294,7 +305,7 @@ def test_majorant_dominates_tree_operator():
     for k in (1, 2, 3):
         for tree in enumerate_trees(k)[:4]:
             data = [random_real_field(N, idx, 0.7, rng) for _ in tree.leaves]
-            out = apply_tree_operator(tree, data, t, N, True)
+            out = apply_tree_operator(tree, data, t, True)
             maj = majorant_tree(tree, data)
             bound = (C * t) ** (k / 2.0) * maj.values.real
             assert np.all(np.abs(out.values) <= bound + 1e-14)

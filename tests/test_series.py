@@ -100,7 +100,7 @@ def test_each_depth_is_the_reference_summed_over_trees():
             sol = solve_series(a0, cfg)
             for k, (i, t) in itertools.product(range(1, K + 1), enumerate(ts)):
                 ref = sum(
-                    apply_tree_operator_reference(tree, [a0] * (2 * k + 1), t, N, project).values
+                    apply_tree_operator_reference(tree, [a0] * (2 * k + 1), t, project).values
                     for tree in enumerate_trees(k)
                 )
                 scale = np.max(np.abs(ref))
@@ -131,7 +131,7 @@ def test_graded_depths_match_per_tree_tables(monkeypatch):
         assert sol.depth_rows[0] == np.count_nonzero(v)
         for k in range(1, K + 1):
             tables = [
-                tree_term_table(tree, [a0] * len(tree.leaves), N, project)
+                tree_term_table(tree, [a0] * len(tree.leaves), project)
                 for tree in enumerate_trees(k)
             ]
             ref = sum(evaluate_term_table(table, ts) for table in tables)
@@ -318,7 +318,7 @@ def test_gauged_series_satisfies_plain_flow_residual():
     grid = tuple(np.linspace(0.0, t, 33))
     cfg = SeriesConfig(N=N, K=3, t_grid=grid, project_internal=True)
     plain = solve_mkdv_gauged(a0, cfg)
-    r = ode_residual(plain, a0, cfg, equation="mkdv")
+    r = ode_residual(plain, a0, cfg)
     modified = solve_series(a0, cfg)
     r_mod = ode_residual(modified, a0, cfg)
     assert r < 50 * max(r_mod, 1e-15) + 1e-12

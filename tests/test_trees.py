@@ -8,10 +8,7 @@ from mkdv_series import (
     TernaryTree,
     enumerate_trees,
     fuss_catalan,
-    graft,
-    node_level,
     odd_even_partition,
-    split_subtrees,
 )
 
 
@@ -31,6 +28,13 @@ def test_census_small():
 @pytest.mark.parametrize("k", range(7))
 def test_census_matches_independent_formula(k):
     assert len(enumerate_trees(k)) == binom_count(k) == fuss_catalan(k)
+    if k:
+        # a tree is a root over an ordered triple of subtrees, k1+k2+k3 = k-1
+        count = lambda j: len(enumerate_trees(j))
+        triples = sum(
+            count(k1) * count(k2) * count(k - 1 - k1 - k2) for k1 in range(k) for k2 in range(k - k1)
+        )
+        assert triples == count(k)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -57,14 +61,31 @@ def test_negative_k_rejected():
 
 def test_node_levels():
     t = enumerate_trees(2)[0]  # root with first child internal
-    assert node_level(t, 0) == 0
+    assert t.levels[0] == 0
     for c in t.children[0]:
-        assert node_level(t, c) == 1
+        assert t.levels[c] == 1
     inner = t.children[0][0]
     for c in t.children[inner]:
-        assert node_level(t, c) == 2
-    with pytest.raises(ValueError):
-        node_level(t, 99)
+        assert t.levels[c] == 2
+
+
+@pytest.mark.parametrize(
+    "children, match",
+    [
+        # node 1 is a child of node 2, whose id is larger
+        (((2, 3, 4), None, (1, 5, 6), None, None, None, None), "exceed its parent"),
+        # node 3 under both the root and node 1
+        (((1, 2, 3), (3, 4, 5), None, None, None, None), "two parents"),
+        # nodes 4..6 hang off nothing
+        (((1, 2, 3), None, None, None, None, None, None), "no node's child"),
+        (((1, 2),) + (None,) * 2, "0 or 3 children"),
+        ((), "at least one node"),
+    ],
+    ids=["child-id-below-parent", "two-parents", "unreached", "arity-2", "empty"],
+)
+def test_malformed_children_rejected(children, match):
+    with pytest.raises(ValueError, match=match):
+        TernaryTree(children)
 
 
 def test_odd_even_partition():
@@ -77,43 +98,6 @@ def test_odd_even_partition():
             assert odd | even == set(t.internal_nodes)
             assert odd & even == set()
             assert len(odd) + len(even) == k
-
-
-def test_split_examples():
-    k1 = enumerate_trees(1)[0]
-    subs = split_subtrees(k1)
-    assert all(s.size == 1 for s in subs)
-    chain = TernaryTree.from_string("IILLLLL")
-    t1, t2, t3 = split_subtrees(chain)
-    assert t1.to_string() == "ILLL" and t2.to_string() == "L" and t3.to_string() == "L"
-    with pytest.raises(ValueError):
-        split_subtrees(TernaryTree.leaf())
-
-
-@pytest.mark.parametrize("k", range(1, 5))
-def test_split_graft_round_trip(k):
-    trees = enumerate_trees(k)
-    strings = {t.to_string() for t in trees}
-    for t in trees:
-        t1, t2, t3 = split_subtrees(t)
-        assert t1.internal_count + t2.internal_count + t3.internal_count == k - 1
-        back = graft(t1, t2, t3)
-        assert back.to_string() == t.to_string()
-        assert back.to_string() in strings
-
-
-def test_graft_split_bijection():
-    # ordered triples with total internal count k-1 <-> trees with k nodes
-    k = 3
-    triples = set()
-    for t in enumerate_trees(k):
-        triples.add(tuple(s.to_string() for s in split_subtrees(t)))
-    count = 0
-    for k1 in range(k):
-        for k2 in range(k - k1):
-            k3 = k - 1 - k1 - k2
-            count += len(enumerate_trees(k1)) * len(enumerate_trees(k2)) * len(enumerate_trees(k3))
-    assert len(triples) == count == len(enumerate_trees(k))
 
 
 def test_string_round_trip():
