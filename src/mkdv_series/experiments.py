@@ -125,6 +125,13 @@ def load_initial_data(source: str, N: int) -> CoeffSeq:
 # ---------------------------------------------------------------------------
 
 
+def _pop_list(params, key, default, kind):
+    values = params.pop(key, default)
+    if not isinstance(values, list):
+        raise ExperimentError(f"{key} expects a JSON list, got {values!r}")
+    return [kind(v) for v in values]
+
+
 def _assert_row(name, value, threshold, passed):
     return {"name": name, "value": value, "threshold": threshold, "passed": bool(passed)}
 
@@ -157,7 +164,7 @@ def _exp_convergence(params, out, seed, jobs):
     K = int(params.pop("K", 3))
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
-    radii = [float(r) for r in params.pop("R", [0.5, 1.0, 2.0])]
+    radii = _pop_list(params, "R", [0.5, 1.0, 2.0], float)
     C = float(params.pop("C", 16.0))
     ratio_max = float(params.pop("ratio_max", 0.5))
     idx = NormIndex(s, p)
@@ -185,10 +192,7 @@ def _exp_convergence(params, out, seed, jobs):
 
 
 def _lemma_tree_task(args):
-    tree_string, samples, leaf_range, times, C, seed = args
-    from .trees import TernaryTree
-
-    tree = TernaryTree.from_string(tree_string)
+    tree, samples, leaf_range, times, C, seed = args
     rng = np.random.default_rng(seed)
     L = len(tree.leaves)
     rows = []
@@ -205,7 +209,7 @@ def _lemma_tree_task(args):
             par = parity_bound(a, t)
             rows.append(
                 (
-                    tree_string,
+                    tree.preorder,
                     got,
                     ";".join(str(x) for x in a.sigmas),
                     t,
@@ -222,13 +226,13 @@ def _exp_lemma_bound(params, out, seed, jobs):
     K = int(params.pop("K", 3))
     samples = int(params.pop("samples", 1000))
     leaf_range = int(params.pop("leaf_range", 16))
-    times = [float(t) for t in params.pop("t", [0.01, 0.1, 1.0])]
+    times = _pop_list(params, "t", [0.01, 0.1, 1.0], float)
     C = float(params.pop("C", 16.0))
     tasks = []
     i = 0
     for k in range(1, K + 1):
         for tree in enumerate_trees(k):
-            tasks.append((tree.to_string(), samples, leaf_range, tuple(times), C, seed + i))
+            tasks.append((tree, samples, leaf_range, tuple(times), C, seed + i))
             i += 1
     rows = [r for chunk in _map(_lemma_tree_task, tasks, jobs) for r in chunk]
     worst = max(r[6] for r in rows)
@@ -254,7 +258,7 @@ def _exp_kernel_norms(params, out, seed, jobs):
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
     which = str(params.pop("which", "m1"))
-    n_list = [int(n) for n in params.pop("n", [4, 16, 64, 256])]
+    n_list = _pop_list(params, "n", [4, 16, 64, 256], int)
     M_factor = int(params.pop("M_factor", 10))
     limits = [(key, params.pop(key, None), op) for key, op in (("growth_max", "<="), ("growth_min", ">="))]
     pairs = ((1, 2), (1, 3), (2, 3))

@@ -305,10 +305,9 @@ def duhamel_integral(states: np.ndarray, times, equation: str = "modified_mkdv")
     return cumulative_simpson(oracle_rhs_grid(states, times, equation), _grid_step(times))
 
 
-def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int,
-                   equation: str = "modified_mkdv") -> Trajectory:
-    """Successive substitution of the integral equation, starting from the
-    constant-in-time trajectory.
+def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int) -> Trajectory:
+    """Successive substitution of the mean-subtracted flow's integral
+    equation, starting from the constant-in-time trajectory.
 
     Each sweep takes the Duhamel integral of the whole grid's trajectory
     (:func:`duhamel_integral`), so the result is independent of the tree
@@ -318,5 +317,5 @@ def picard_iterate(a0: CoeffSeq, times: np.ndarray, iterations: int,
     _grid_step(times)
     traj = np.tile(a0.values, (len(times), 1))
     for _ in range(iterations):
-        traj = a0.values[None, :] + duhamel_integral(traj, times, equation)
+        traj = a0.values[None, :] + duhamel_integral(traj, times)
     return Trajectory(a0.cutoff, times, traj)

@@ -9,17 +9,22 @@ products (Christ's recursion: the trilinear node on every triple of lower
 depths whose depths add to k-1; see ``ops.depth_term_tables``).  A table
 does not depend on time, so one solve evaluates the whole time grid at
 the cost of one pass over each depth's rows per time.
+
+A solve records the per-depth terms.  The depth norms, the certificate
+radius and its warnings are derived from them when read, not recorded;
+the totals are the initial data plus the increment, and the increment's
+phase (``_increments``) carries the plain flow's gauge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .oracle import duhamel_integral
-from .spectral import CoeffSeq, NormIndex, gauge_shift, l2_mass, weighted_norm
+from .spectral import CoeffSeq, NormIndex, l2_mass, weighted_norm
 from .ops import depth_term_tables, evaluate_term_table
 
 __all__ = [
@@ -65,55 +70,70 @@ class SeriesConfig:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Series values on the time grid plus per-depth diagnostics.
+    """The per-depth terms of a solve on its time grid, their totals, and
+    what follows from them.
+
+    The record holds the terms (``depth_values``), the totals (``coeffs``)
+    and the rows of each depth's table.  The time grid, the depth norms,
+    the certificate radius and its warnings are read from ``config`` and
+    ``depth_values`` when asked for; none of them is stored.
     ``depth_rows`` also counts rows that are zero in exact arithmetic but
     cancel only to rounding, so it depends on summation order."""
 
     config: SeriesConfig
     equation: str
-    times: np.ndarray
     coeffs: list                  # CoeffSeq per time
-    depth_norms: np.ndarray       # [n_times, K+1], norm of each depth's term
-    t_max: float                  # certificate radius for the initial data
-    beyond_certificate: np.ndarray  # bool per time
     depth_values: np.ndarray      # [K+1, n_times, 2N+1]
-    warnings: tuple = field(default_factory=tuple)
-    gauge_mass: float = 0.0       # c of a plain-flow solution's phase e^{-inct}
-    depth_rows: tuple = ()        # rows of each depth's table, depths 0..K
+    gauge_mass: float             # c of a plain-flow solution's phase e^{-inct}
+    depth_rows: tuple             # rows of each depth's table, depths 0..K
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.asarray(self.config.t_grid)
 
     @property
     def final(self) -> CoeffSeq:
         return self.coeffs[-1]
 
-    def increment_at(self, i: int) -> CoeffSeq:
-        """The solution minus the initial data, summed directly over the
-        depth >= 1 terms so the small increment is never computed as a
-        difference of order-one values.
+    @property
+    def depth_norms(self) -> np.ndarray:
+        """[n_times, K+1]: the norm of each depth's term at each time."""
+        return weighted_norm(self.depth_values, self.config.norm).T
 
-        A plain-flow solution is e^{i theta} times the mean-subtracted one,
-        theta = -nct, so its increment is (e^{i theta} - 1) a0 + e^{i theta}
-        times the depth sum; the first factor is formed as
-        2i sin(theta/2) e^{i theta/2} so that it does not cancel either.
-        For the mean-subtracted flow (c = 0) the depth sum comes back
-        unchanged."""
-        vals = self.depth_values[1:, i, :].sum(axis=0)
-        a0 = CoeffSeq(self.config.N, self.depth_values[0, i])
-        theta = a0.modes * (_GAUGE_SIGN * self.gauge_mass * self.times[i])
-        half = np.exp(0.5j * theta)
-        return a0.with_values(half * (2j * np.sin(0.5 * theta) * a0.values + half * vals))
+    @property
+    def t_max(self) -> float:
+        """Certificate radius of the initial data (depth 0)."""
+        norm0 = weighted_norm(self.depth_values[0, 0], self.config.norm)
+        return radius_certificate(norm0, self.config.C_bound)
+
+    @property
+    def beyond_certificate(self) -> np.ndarray:
+        return self.times > self.t_max
+
+    @property
+    def warnings(self) -> tuple:
+        beyond = int(np.sum(self.beyond_certificate))
+        if not beyond:
+            return ()
+        return (
+            f"{beyond} evaluation time(s) exceed the certificate radius "
+            f"{self.t_max:.6g}; the truncated sum is still returned",
+        )
+
+    def increment_at(self, i: int) -> CoeffSeq:
+        """The solution minus the initial data at time ``times[i]``
+        (``_increments``)."""
+        inc = _increments(self.depth_values[:, i : i + 1], self.gauge_mass, self.times[i : i + 1])
+        return CoeffSeq(self.config.N, inc[0])
 
     def to_json_dict(self) -> dict:
-        p = self.config.norm.p
+        config = asdict(self.config)
+        config["t_grid"] = list(self.config.t_grid)
+        if math.isinf(self.config.norm.p):
+            config["norm"]["p"] = "inf"
         return {
             "equation": self.equation,
-            "config": {
-                "N": self.config.N,
-                "K": self.config.K,
-                "t_grid": list(self.config.t_grid),
-                "norm": {"s": self.config.norm.s, "p": "inf" if math.isinf(p) else p},
-                "project_internal": self.config.project_internal,
-                "C_bound": self.config.C_bound,
-            },
+            "config": config,
             "times": self.times.tolist(),
             "coeffs": [c.to_json_dict() for c in self.coeffs],
             "depth_norms": self.depth_norms.tolist(),
@@ -124,6 +144,23 @@ class SeriesSolution:
             "warnings": list(self.warnings),
             "depth_rows": list(self.depth_rows),
         }
+
+
+def _increments(depth_values: np.ndarray, c: float, times: np.ndarray) -> np.ndarray:
+    """[n_times, 2N+1]: the solution minus the initial data, summed
+    directly over the depth >= 1 terms so the small increment is never
+    computed as a difference of order-one values.
+
+    A plain-flow solution is e^{i theta} times the mean-subtracted one,
+    theta = -nct, so its increment is (e^{i theta} - 1) a0 + e^{i theta}
+    times the depth sum; the first factor is formed as
+    2i sin(theta/2) e^{i theta/2} so that it does not cancel either.
+    For the mean-subtracted flow (c = 0) the depth sum comes back
+    unchanged."""
+    N = (depth_values.shape[-1] - 1) // 2
+    theta = np.arange(-N, N + 1) * (_GAUGE_SIGN * c * times[:, None])
+    half = np.exp(0.5j * theta)
+    return half * (2j * np.sin(0.5 * theta) * depth_values[0] + half * depth_values[1:].sum(axis=0))
 
 
 def radius_certificate(norm0: float, C: float) -> float:
@@ -155,51 +192,8 @@ def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     internal nodes applied to the initial data on all leaves.  Each depth
     is one table, folded once from the lower depths' tables
     (``depth_term_tables``) and evaluated once on the whole grid.
-    Per-depth term norms, table rows and the certificate radius are
-    recorded.
     """
-    if a0.cutoff != cfg.N:
-        raise ValueError("initial data cutoff must equal the configured N")
-    times = np.asarray(cfg.t_grid, dtype=float)
-    T = len(times)
-    width = 2 * cfg.N + 1
-
-    tables = depth_term_tables(a0, cfg.K, cfg.project_internal)
-    depth_vals = np.zeros((cfg.K + 1, T, width), dtype=np.complex128)
-    depth_vals[0] = np.tile(a0.values, (T, 1))
-    for k in range(1, cfg.K + 1):
-        depth_vals[k] = evaluate_term_table(tables[k], times)
-
-    totals = depth_vals.sum(axis=0)
-    coeffs = [CoeffSeq(cfg.N, totals[i].copy()) for i in range(T)]
-    depth_norms = np.array(
-        [
-            [weighted_norm(CoeffSeq(cfg.N, depth_vals[k, i]), cfg.norm) for k in range(cfg.K + 1)]
-            for i in range(T)
-        ]
-    )
-
-    norm0 = weighted_norm(a0, cfg.norm)
-    t_max = radius_certificate(norm0, cfg.C_bound)
-    beyond = times > t_max
-    warnings = ()
-    if np.any(beyond):
-        warnings = (
-            f"{int(np.sum(beyond))} evaluation time(s) exceed the certificate "
-            f"radius {t_max:.6g}; the truncated sum is still returned",
-        )
-    return SeriesSolution(
-        cfg,
-        "modified_mkdv",
-        times,
-        coeffs,
-        depth_norms,
-        t_max,
-        beyond,
-        depth_vals,
-        warnings,
-        depth_rows=tuple(int(t.weights.size) for t in tables),
-    )
+    return _solve(a0, cfg, "modified_mkdv", 0.0)
 
 
 def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
@@ -208,12 +202,24 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     the translation speed is the mass of a real field."""
     if not a0.is_real_field():
         raise ValueError("gauged solve requires real-field (Hermitian) data")
-    sol = solve_series(a0, cfg)
-    c = l2_mass(a0)
-    coeffs = [
-        gauge_shift(seq, _GAUGE_SIGN * c, t) for seq, t in zip(sol.coeffs, sol.times)
-    ]
-    return replace(sol, equation="mkdv", coeffs=coeffs, gauge_mass=c)
+    return _solve(a0, cfg, "mkdv", l2_mass(a0))
+
+
+def _solve(a0: CoeffSeq, cfg: SeriesConfig, equation: str, c: float) -> SeriesSolution:
+    """The mean-subtracted depth terms, and totals a0 plus the increment
+    of the flow whose phase is e^{-inct}."""
+    if a0.cutoff != cfg.N:
+        raise ValueError("initial data cutoff must equal the configured N")
+    times = np.asarray(cfg.t_grid)
+    tables = depth_term_tables(a0, cfg.K, cfg.project_internal)
+    depth_vals = np.zeros((cfg.K + 1, len(times), 2 * cfg.N + 1), dtype=np.complex128)
+    depth_vals[0] = a0.values
+    for k in range(1, cfg.K + 1):
+        depth_vals[k] = evaluate_term_table(tables[k], times)
+    coeffs = [CoeffSeq(cfg.N, a0.values + inc) for inc in _increments(depth_vals, c, times)]
+    return SeriesSolution(
+        cfg, equation, coeffs, depth_vals, c, tuple(int(t.weights.size) for t in tables)
+    )
 
 
 def ode_residual(sol: SeriesSolution, a0: CoeffSeq, cfg: SeriesConfig) -> float:

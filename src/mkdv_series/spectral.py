@@ -157,17 +157,23 @@ class NormIndex:
         return pc * (self.s + 0.25) > 1.0
 
 
-def weighted_norm(a: CoeffSeq, idx: NormIndex) -> float:
+def weighted_norm(a, idx: NormIndex):
     """Weighted norm ( sum_n <n>^{sp} |a(n)|^p )^{1/p}.
 
     For p = inf this is sup_n <n>^s |a(n)|.  The zero sequence gives 0.
+    ``a`` is a ``CoeffSeq`` or an array of rows with the modes -N..N on
+    its last axis; a stack of rows gives the array of their norms.
     """
-    w = bracket(a.modes) ** idx.s * np.abs(a.values)
+    vals = a.values if isinstance(a, CoeffSeq) else np.asarray(a)
+    N = (vals.shape[-1] - 1) // 2
+    w = bracket(np.arange(-N, N + 1)) ** idx.s * np.abs(vals)
     if math.isinf(idx.p):
-        return float(np.max(w)) if w.size else 0.0
-    if idx.p == 1.0:
-        return float(np.sum(w))
-    return float(np.sum(w ** idx.p) ** (1.0 / idx.p))
+        norm = np.max(w, axis=-1)
+    elif idx.p == 1.0:
+        norm = np.sum(w, axis=-1)
+    else:
+        norm = np.sum(w ** idx.p, axis=-1) ** (1.0 / idx.p)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def truncate_modes(a: CoeffSeq, M: int) -> CoeffSeq:

@@ -2,10 +2,9 @@
 
 These trees index the terms of the cubic power-series expansion: a tree
 with k internal nodes carries 2k+1 leaves and |T| = 3k+1 nodes total.
-A tree is its children alone, and every child's id exceeds its parent's.
-The trees built here number their nodes in preorder (root = 0), children
-are ordered, and a tree serializes to its preorder string over {"I", "L"}
-(internal/leaf), e.g. the one-internal-node tree is "ILLL".
+A tree is its preorder string over {"I", "L"} (internal/leaf), e.g. the
+one-internal-node tree is "ILLL"; its nodes are numbered in preorder
+(root = 0) and its children, ordered, are parsed from that string.
 """
 
 from __future__ import annotations
@@ -24,48 +23,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TernaryTree:
-    """Immutable ordered ternary tree.
+    """Immutable ordered ternary tree, held as its preorder I/L string.
 
-    ``children[v]`` is a 3-tuple of ids or None for a leaf.  Every node
-    but the root 0 is the child of exactly one node, whose id is smaller,
-    so a pass over the ids in reverse order meets children before their
-    parents.
+    ``children[v]`` is a 3-tuple of node ids, or None for a leaf; it is
+    parsed from the string once, and a string that is no tree is refused
+    there.  Preorder puts every child after its parent, so a pass over
+    the ids in reverse order meets children before their parents.
     """
 
-    children: tuple
+    preorder: str
 
     def __post_init__(self):
-        n = len(self.children)
-        if n == 0:
-            raise ValueError("a tree needs at least one node")
-        reached = [True] + [False] * (n - 1)
-        for v, ch in enumerate(self.children):
-            if ch is None:
-                continue
-            if len(ch) != 3:
-                raise ValueError(f"node {v} must have 0 or 3 children")
-            for c in ch:
-                if not (v < c < n):
-                    raise ValueError(f"bad child link {v} -> {c}: a child's id must exceed its parent's")
-                if reached[c]:
-                    raise ValueError(f"node {c} has two parents")
-                reached[c] = True
-        if not all(reached):
-            raise ValueError(f"node {reached.index(False)} is no node's child")
+        self.children  # parse now: a bad string fails at construction
+
+    @cached_property
+    def children(self) -> tuple:
+        s = self.preorder
+        children = [None] * len(s)
+        pos = 0
+
+        def build():
+            nonlocal pos
+            if pos >= len(s):
+                raise ValueError(f"truncated tree string {s!r}")
+            v = pos
+            tag = s[pos]
+            pos += 1
+            if tag == "I":
+                children[v] = tuple(build() for _ in range(3))
+            elif tag != "L":
+                raise ValueError(f"bad tag {tag!r} in tree string {s!r}")
+            return v
+
+        build()
+        if pos != len(s):
+            raise ValueError(f"trailing characters in tree string {s!r}")
+        return tuple(children)
 
     @property
     def size(self) -> int:
-        return len(self.children)
+        return len(self.preorder)
 
     # cached: the tree is immutable, and the scalar reference paths read
     # these once per index assignment
     @cached_property
     def internal_nodes(self) -> tuple:
-        return tuple(v for v, ch in enumerate(self.children) if ch is not None)
+        return tuple(v for v, tag in enumerate(self.preorder) if tag == "I")
 
     @cached_property
     def leaves(self) -> tuple:
-        return tuple(v for v, ch in enumerate(self.children) if ch is None)
+        return tuple(v for v, tag in enumerate(self.preorder) if tag == "L")
 
     @cached_property
     def levels(self) -> tuple:
@@ -84,33 +91,6 @@ class TernaryTree:
         if not (0 <= v < self.size):
             raise ValueError(f"node id {v} out of range")
         return self.children[v] is None
-
-    def to_string(self) -> str:
-        return "".join("L" if ch is None else "I" for ch in self.children)
-
-    @classmethod
-    def from_string(cls, s: str) -> "TernaryTree":
-        """Rebuild a tree from its preorder I/L string."""
-        children = [None] * len(s)
-        pos = 0
-
-        def build():
-            nonlocal pos
-            if pos >= len(s):
-                raise ValueError("truncated tree string")
-            v = pos
-            tag = s[pos]
-            pos += 1
-            if tag == "I":
-                children[v] = tuple(build() for _ in range(3))
-            elif tag != "L":
-                raise ValueError(f"bad tag {tag!r}")
-            return v
-
-        build()
-        if pos != len(s):
-            raise ValueError("trailing characters in tree string")
-        return cls(tuple(children))
 
 
 def fuss_catalan(k: int) -> int:
@@ -141,7 +121,7 @@ def enumerate_trees(k: int) -> list:
     their preorder I/L string (a fixed, reproducible order)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return [TernaryTree.from_string(s) for s in _tree_strings(k)]
+    return [TernaryTree(s) for s in _tree_strings(k)]
 
 
 def odd_even_partition(tree: TernaryTree):

@@ -276,6 +276,10 @@ def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
         # the growth ratio divides by the first norm, and the m1 kernel's
         # norm at n = 0 is exactly 0
         ["--experiment", "kernel-norms", "--param", "n=[0,4]", "--param", "growth_max=10"],
+        # a scalar where a list is expected
+        ["--experiment", "convergence", "--param", "R=1.0"],
+        ["--experiment", "kernel-norms", "--param", "n=4"],
+        ["--experiment", "lemma-bound", "--param", "t=0.5"],
     ],
 )
 def test_refused_param_rejected_with_exit_2(tmp_path, argv):

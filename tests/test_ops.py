@@ -35,7 +35,7 @@ from mkdv_series.spectral import bracket, random_real_field
 from mkdv_series.trees import TernaryTree
 
 T1 = enumerate_trees(1)[0]
-CHAIN = TernaryTree.from_string("IILLLLL")
+CHAIN = TernaryTree("IILLLLL")
 
 
 def simpson_phase_integral(sig, t, panels=10_000):

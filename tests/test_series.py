@@ -304,6 +304,13 @@ def test_gauged_solve_identities():
     assert sol.equation == "mkdv"
     assert np.max(np.abs(sol.coeffs[0].values - a0.values)) == 0.0
 
+    # the plain flow is the mean-subtracted one translated by the mass
+    modified = solve_series(a0, cfg)
+    c = l2_mass(a0)
+    for got, mod, t in zip(sol.coeffs, modified.coeffs, cfg.t_grid):
+        shifted = gauge_shift(mod, -c, t).values
+        assert np.max(np.abs(got.values - shifted)) <= 2e-16 * np.max(np.abs(shifted))
+
     zero = CoeffSeq.zeros(4)
     zsol = solve_mkdv_gauged(zero, SeriesConfig(N=4, K=2, t_grid=(0.4,)))
     assert np.max(np.abs(zsol.final.values)) == 0.0

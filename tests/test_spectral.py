@@ -43,6 +43,19 @@ def test_norm_homogeneous():
         assert weighted_norm(scaled, idx) == pytest.approx(abs(lam) * weighted_norm(a, idx))
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_norm_of_a_stack_is_each_rows_norm(p):
+    # rows with the modes on the last axis, stacked [3, 4, 2N+1]
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(3, 4, 11)) + 1j * rng.normal(size=(3, 4, 11))
+    idx = NormIndex(0.5, p)
+    got = weighted_norm(rows, idx)
+    assert got.shape == (3, 4)
+    for k, i in np.ndindex(3, 4):
+        ref = weighted_norm(CoeffSeq(5, rows[k, i]), idx)
+        assert got[k, i] == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def test_truncation_identity_and_drop():
     a = CoeffSeq(8, np.arange(17, dtype=float) + 0j)
     same = truncate_modes(a, 8)

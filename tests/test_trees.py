@@ -42,7 +42,7 @@ def test_enumeration_valid_and_duplicate_free(k):
     trees = enumerate_trees(k)
     seen = set()
     for t in trees:
-        s = t.to_string()
+        s = t.preorder
         assert s not in seen
         seen.add(s)
         assert t.internal_count == k
@@ -51,7 +51,7 @@ def test_enumeration_valid_and_duplicate_free(k):
         for v in range(t.size):
             ch = t.children[v]
             assert ch is None or len(ch) == 3
-    assert trees == sorted(trees, key=lambda t: t.to_string())
+    assert trees == sorted(trees, key=lambda t: t.preorder)
 
 
 def test_negative_k_rejected():
@@ -70,22 +70,24 @@ def test_node_levels():
 
 
 @pytest.mark.parametrize(
-    "children, match",
+    "preorder, match",
     [
-        # node 1 is a child of node 2, whose id is larger
-        (((2, 3, 4), None, (1, 5, 6), None, None, None, None), "exceed its parent"),
-        # node 3 under both the root and node 1
-        (((1, 2, 3), (3, 4, 5), None, None, None, None), "two parents"),
-        # nodes 4..6 hang off nothing
-        (((1, 2, 3), None, None, None, None, None, None), "no node's child"),
-        (((1, 2),) + (None,) * 2, "0 or 3 children"),
-        ((), "at least one node"),
+        ("", "truncated"),
+        # an internal node with fewer than three children
+        ("I", "truncated"),
+        ("IL", "truncated"),
+        ("ILL", "truncated"),
+        # node 1, or node 4, hangs off nothing
+        ("LL", "trailing"),
+        ("ILLLL", "trailing"),
+        ("ILLLX", "trailing"),
+        ("ILXL", "bad tag"),
     ],
-    ids=["child-id-below-parent", "two-parents", "unreached", "arity-2", "empty"],
+    ids=["empty", "arity-0", "arity-1", "arity-2", "unreached", "extra-leaf", "extra-tag", "bad-tag"],
 )
-def test_malformed_children_rejected(children, match):
+def test_malformed_children_rejected(preorder, match):
     with pytest.raises(ValueError, match=match):
-        TernaryTree(children)
+        TernaryTree(preorder)
 
 
 def test_odd_even_partition():
@@ -101,11 +103,10 @@ def test_odd_even_partition():
 
 
 def test_string_round_trip():
+    # the children parsed from a tree's string spell that string again
     for k in range(4):
         for t in enumerate_trees(k):
-            assert TernaryTree.from_string(t.to_string()).to_string() == t.to_string()
-    assert enumerate_trees(1)[0].to_string() == "ILLL"
-    with pytest.raises(ValueError):
-        TernaryTree.from_string("IL")
-    with pytest.raises(ValueError):
-        TernaryTree.from_string("ILLLX")
+            assert "".join("L" if ch is None else "I" for ch in t.children) == t.preorder
+            assert TernaryTree(t.preorder) == t
+    assert enumerate_trees(1)[0].preorder == "ILLL"
+    assert enumerate_trees(1)[0].children == ((1, 2, 3), None, None, None)
