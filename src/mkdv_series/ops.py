@@ -31,7 +31,8 @@ Both folds keep |n| <= N at a node with internal projection, otherwise
 |n| <= (L - l + 1) N for a node over l of L leaves (L = 2K+1 in the depth
 fold): the modes the other leaves can bring back to the cutoff.  Both
 pair rows through ``_pairs``, sum the product blocks through ``_sum`` and
-return through ``_table``.
+return through ``_table``.  For exactly Hermitian data the depth fold
+forms only the rows with n >= 0 and mirrors the rest (``_mirror``).
 """
 
 from __future__ import annotations
@@ -154,11 +155,14 @@ class TermTable:
     """A tree's operator on fixed leaf data as an exponential polynomial
     in time per output mode: row r contributes
     weights[r] * t^powers[r] * e^{i freqs[r] t} at mode root_idx[r] - N.
-    Rows are sorted by (mode, power, frequency), one row per key, as the
-    fold's last merge leaves them; that merge sizes its key from the rows'
-    own ranges, so the table needs nothing of the tree that built it.
-    Evaluating at a time is one pass over the rows, so sweeps over t reuse
-    the fold."""
+    Rows are sorted by mode, one row per (mode, power, frequency), and a
+    mode's rows are contiguous.  Within a mode they are in (power,
+    frequency) order, as the fold's last merge leaves them, except at the
+    negative modes of a depth table of exactly Hermitian data: mode -n
+    holds the rows of n mirrored, in reverse order (power descending).
+    The merge sizes its key from the rows' own ranges, so the table needs
+    nothing of the tree that built it.  Evaluating at a time is one pass
+    over the rows, so sweeps over t reuse the fold."""
 
     cutoff: int
     root_idx: np.ndarray     # int64, position of output mode (mode + N)
@@ -218,12 +222,12 @@ def _antiderivative(rows):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _pairs(n1, n2, bound):
-    """Blocks of about ``_BLOCK`` index pairs (i, j) with |n1[i] + n2[j]|
-    <= bound.  n2 is sorted (tables are sorted by mode), so the j of each
-    i are one contiguous run; n1 may be in any order."""
-    start = np.searchsorted(n2, -bound - n1, "left")
-    count = np.searchsorted(n2, bound - n1, "right") - start
+def _pairs(n1, n2, n_lo, n_hi):
+    """Blocks of about ``_BLOCK`` index pairs (i, j) with n_lo <= n1[i] +
+    n2[j] <= n_hi.  n2 is sorted (tables are sorted by mode), so the j of
+    each i are one contiguous run; n1 may be in any order."""
+    start = np.searchsorted(n2, n_lo - n1, "left")
+    count = np.searchsorted(n2, n_hi - n1, "right") - start
     ends = np.cumsum(count)
     lo, done = 0, 0
     while lo < ends.size and done < ends[-1]:
@@ -239,9 +243,10 @@ def _node(children, bound):
     sum vanishes) with weight -in/3, or resonant (j, -j, j) with weight
     +in; powers and frequencies u add.  Unmerged and not yet integrated."""
     (n1, m1, u1, c1), (n2, m2, u2, c2), (n3, m3, u3, c3) = children
-    for i1, i2 in _pairs(n1, n2, bound + np.abs(n3).max(initial=0)):
+    reach = bound + np.abs(n3).max(initial=0)
+    for i1, i2 in _pairs(n1, n2, -reach, reach):
         n12 = n1[i1] + n2[i2]
-        for p, j3 in _pairs(n12, n3, bound):
+        for p, j3 in _pairs(n12, n3, -bound, bound):
             j1, j2, k3 = i1[p], i2[p], n3[j3]
             s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
             n = s12 + k3
@@ -254,25 +259,48 @@ def _node(children, bound):
             yield n, m, u, weight * c1[j1] * c2[j2] * c3[j3]
 
 
-def _product(pairs, bound):
+def _product(pairs, lo, hi):
     """Blocks of a (x) b over the table pairs, unmerged: modes, powers and
-    frequencies add, coefficients multiply, |n| <= bound kept."""
+    frequencies add, coefficients multiply, lo <= n <= hi kept."""
     for (n1, m1, u1, c1), (n2, m2, u2, c2) in pairs:
-        for i, j in _pairs(n1, n2, bound):
+        for i, j in _pairs(n1, n2, lo, hi):
             yield n1[i] + n2[j], m1[i] + m2[j], u1[i] + u2[j], c1[i] * c2[j]
 
 
 def _sum(blocks):
     """The merged sum of the row blocks, merged as they arrive; the parts
     join the running table, first, once they outgrow _FOLD * max(its rows,
-    _BLOCK).  A part holds a key once, so keys sum in block order."""
+    _BLOCK).  A part holds a key once, so keys sum in block order, and a
+    lone merged part or table is returned as it is."""
     rows, parts, held = _EMPTY, [], 0
     for block in blocks:
         parts.append(_merge(block))
         held += parts[-1][0].size
         if held > _FOLD * max(rows[0].size, _BLOCK):
             rows, parts, held = _merge(tuple(np.concatenate(col) for col in zip(rows, *parts))), [], 0
+    if not parts:
+        return rows
+    if not rows[0].size and len(parts) == 1:
+        return parts[0]
     return _merge(tuple(np.concatenate(col) for col in zip(rows, *parts)))
+
+
+def _hermitian(seq):
+    """True when a(-n) == conj a(n) holds exactly: is_real_field's
+    tolerance would let the mirror drop a non-Hermitian part."""
+    return np.array_equal(seq.values, np.conj(seq.values[::-1]))
+
+
+def _mirror(rows):
+    """A Hermitian table's rows from its rows with n >= 0: each row with
+    n > 0 also gives (-n, m, -u, conj c).  The mirrored rows come in
+    reverse order, so modes stay sorted."""
+    n = rows[0]
+    pos = slice(int(np.searchsorted(n, 0, "right")), None)
+    return tuple(
+        np.concatenate((flip(col[pos][::-1]), col))
+        for flip, col in zip((np.negative, np.positive, np.negative, np.conj), rows)
+    )
 
 
 def _check_mode_range(k, N):
@@ -363,6 +391,25 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     rounding, so a table can keep rows of round-off size (<= 1e-15 of its
     largest).
 
+    (x) is commutative row by row (integers add, and IEEE products
+    commute), so P_j forms each unordered pair k1 < k2 once with A_k1's
+    coefficients doubled, and A_k1 (x) A_k1 once.  Doubling is exact, so
+    only the order in which the products are summed changes.
+
+    When a0(-n) == conj a0(n) holds exactly, every A_k and P_j is
+    Hermitian, X(-n) = conj X(n), so each row (n, m, u, c) has the mirror
+    row (-n, m, -u, conj c): conj(c s^m e^{iws}) has frequency -w, and
+    u = w - n^3 flips sign with w and n.  Conjugation commutes exactly
+    with IEEE products, sums and the division by iw, so a mirrored row
+    is the row the full product forms, up to the order of its sum.  The
+    fold then forms only P_j's rows with n >= 0 (the mode-0 rows are
+    their own mirror, and R_j needs them) and only the sum's rows with
+    n >= 1 (the -(in/3) weight removes n = 0), and mirrors the rows with
+    n > 0 after each merge, reversed so modes stay sorted (see
+    TermTable).  Other data takes the full products, the only correct
+    route for it; the gate is exact equality, so data Hermitian only to
+    rounding takes the full route too.
+
     Depth k keeps |n| <= bound(k): N with ``project_internal``, otherwise
     (2(K-k)+1) N, which later depths can still bring back to the cutoff;
     its table keeps |n| <= N.  P_j keeps |n12| = |n - n3| <= bound(j+1) + N,
@@ -374,12 +421,20 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     if K > 0:
         _check_mode_range(K, N)
     bound = [N if project_internal else (2 * (K - k) + 1) * N for k in range(K + 1)]
+    hermitian = _hermitian(a0)
+    mirror = _mirror if hermitian else lambda rows: rows
     A, R = [_support_rows(a0)], []
     for k in range(1, K + 1):
-        n, m, u, c = _sum(_product([(A[k1], A[k - 1 - k1]) for k1 in range(k)], bound[k] + N))
+        # each unordered pair k1 < k2 once, its first factor doubled
+        pairs = [((*A[k1][:3], 2.0 * A[k1][3]), A[k - 1 - k1]) for k1 in range(k // 2)]
+        if k % 2:
+            pairs.append((A[k // 2],) * 2)
+        lo = 0 if hermitian else -bound[k] - N
+        n, m, u, c = mirror(_sum(_product(pairs, lo, bound[k] + N)))
         R.append((n, m, u, np.where(n == 0, -2.0 * c, c)))
-        n, m, u, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], bound[k]))
-        A.append(_merge(_antiderivative((n, m, u, (-1j / 3.0) * n * c))))
+        lo = 1 if hermitian else -bound[k]
+        n, m, u, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], lo, bound[k]))
+        A.append(mirror(_merge(_antiderivative((n, m, u, (-1j / 3.0) * n * c)))))
     return [_table(rows, N) for rows in A]
 
 

@@ -83,26 +83,44 @@ def test_depth_norms_scale_multilinearly():
         assert n2[k] == pytest.approx(lam ** (2 * k + 1) * n1[k], rel=1e-12)
 
 
-def test_each_depth_is_the_reference_summed_over_trees():
+def _complex_data(N, rng):
+    # complex data with zeros at modes -N, -1 and 2: not Hermitian
+    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+    v[[0, N - 1, N + 2]] = 0.0
+    return CoeffSeq(N, v)
+
+
+def test_each_depth_is_the_reference_summed_over_trees(monkeypatch):
     # depth k sums every tree with k internal nodes; the scalar reference
     # sums each tree assignment by assignment, one symbolic integral each.
     # Support {-2, 1, 3} has no +-j pair, so every triple is star; {-1, 1, 2}
-    # forms sigma = 0 triples, resonant (j, -j, j) and excluded ones alike
+    # forms sigma = 0 triples, resonant (j, -j, j) and excluded ones alike.
+    # Real-field data on {-1, 0, 1} takes the mirrored route of the fold;
+    # the complex data take the full one.  With _BLOCK = 64, _sum merges
+    # its parts into the running table within a product.
     N, K, ts = 3, 3, (0.05, 0.3)
     rng = np.random.default_rng(21)
+    inputs = []
     for support in ((-2, 1, 3), (-1, 1, 2)):
         v = np.zeros(2 * N + 1, dtype=np.complex128)
         for n in support:
             v[n + N] = rng.normal() + 1j * rng.normal()
-        a0 = CoeffSeq(N, v)
-        for project in (False, True):
-            cfg = SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project)
+        inputs.append(CoeffSeq(N, v))
+    inputs.append(random_real_field(1, NormIndex(0.5, 2.0), 1.0, rng))
+    blocks = (ops._BLOCK, 64)
+    for a0, project in itertools.product(inputs, (False, True)):
+        refs = {
+            (k, i): sum(
+                apply_tree_operator_reference(tree, [a0] * (2 * k + 1), t, project).values
+                for tree in enumerate_trees(k)
+            )
+            for k, (i, t) in itertools.product(range(1, K + 1), enumerate(ts))
+        }
+        cfg = SeriesConfig(N=a0.cutoff, K=K, t_grid=ts, project_internal=project)
+        for block in blocks:
+            monkeypatch.setattr(ops, "_BLOCK", block)
             sol = solve_series(a0, cfg)
-            for k, (i, t) in itertools.product(range(1, K + 1), enumerate(ts)):
-                ref = sum(
-                    apply_tree_operator_reference(tree, [a0] * (2 * k + 1), t, project).values
-                    for tree in enumerate_trees(k)
-                )
+            for (k, i), ref in refs.items():
                 scale = np.max(np.abs(ref))
                 assert scale > 0.0
                 assert np.max(np.abs(sol.depth_values[k, i] - ref)) <= 1e-13 * scale
@@ -119,16 +137,15 @@ def test_graded_depths_match_per_tree_tables(monkeypatch):
     # (depth 4, projected: 5e-14 apart at t = 0.05, 7e-13 at t = 0.02),
     # which is not what this test is about.  With _BLOCK = 64, _sum merges
     # its parts into the running table within a product, in both folds.
-    N, K, ts = 3, 4, (0.1, 0.3)
+    # Real-field data (N = 2, dense) take the graded fold's mirrored route.
+    K, ts = 4, (0.1, 0.3)
     rng = np.random.default_rng(8)
-    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
-    v[[0, N - 1, N + 2]] = 0.0
-    a0 = CoeffSeq(N, v)
-    for block, project in itertools.product((ops._BLOCK, 64), (False, True)):
+    inputs = (_complex_data(3, rng), random_real_field(2, NormIndex(0.5, 2.0), 1.0, rng))
+    for a0, block, project in itertools.product(inputs, (ops._BLOCK, 64), (False, True)):
         monkeypatch.setattr(ops, "_BLOCK", block)
-        sol = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=ts, project_internal=project))
+        sol = solve_series(a0, SeriesConfig(N=a0.cutoff, K=K, t_grid=ts, project_internal=project))
         graded = depth_term_tables(a0, K, project)
-        assert sol.depth_rows[0] == np.count_nonzero(v)
+        assert sol.depth_rows[0] == np.count_nonzero(a0.values)
         for k in range(1, K + 1):
             tables = [
                 tree_term_table(tree, [a0] * len(tree.leaves), project)
@@ -158,13 +175,12 @@ def test_graded_depth_table_does_not_depend_on_K(monkeypatch):
     # without projection, K = 4 lets depth 3 keep |n| <= 3N for the depth
     # above it, while K = 3 keeps |n| <= N at depth 3; the rows left at
     # the cutoff must be the same either way, also when _BLOCK = 64 makes
-    # _sum merge its parts into the running table within a product
+    # _sum merge its parts into the running table within a product, and
+    # on the mirrored route of real-field data
     N, K = 3, 4
     rng = np.random.default_rng(8)
-    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
-    v[[0, N - 1, N + 2]] = 0.0
-    a0 = CoeffSeq(N, v)
-    for block, project in itertools.product((ops._BLOCK, 64), (False, True)):
+    inputs = (_complex_data(N, rng), random_real_field(N, NormIndex(0.5, 2.0), 1.0, rng))
+    for a0, block, project in itertools.product(inputs, (ops._BLOCK, 64), (False, True)):
         monkeypatch.setattr(ops, "_BLOCK", block)
         deep = depth_term_tables(a0, K, project)
         for k in range(K):
@@ -196,6 +212,49 @@ def test_graded_depth_zero_is_the_data_alone():
     sol = solve_series(a0, SeriesConfig(N=4, K=0, t_grid=(0.2,)))
     assert sol.depth_rows == (2,)
     assert np.array_equal(sol.final.values, a0.values)
+
+
+def _mirror_symmetric(table):
+    # bit for bit: every row (n, m, w, c) has the row (-n, m, -w, conj c)
+    modes = (table.root_idx - table.cutoff).tolist()
+    rows = dict(zip(zip(modes, table.powers.tolist(), table.freqs.tolist()), table.weights.tolist()))
+    return all(rows.get((-n, m, -w)) == c.conjugate() for (n, m, w), c in rows.items())
+
+
+def test_mirrored_route_needs_exactly_hermitian_data():
+    # data Hermitian to 1e-13 pass is_real_field's tolerance, but a mirror
+    # would drop their non-Hermitian part, so they take the full route
+    a0 = random_real_field(3, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(5))
+    assert all(_mirror_symmetric(t) for t in depth_term_tables(a0, 3))
+    near = a0.with_values(a0.values + 1e-13j * (a0.modes == 1))
+    assert near.is_real_field()
+    assert not _mirror_symmetric(depth_term_tables(near, 1)[1])
+
+
+@pytest.mark.parametrize(
+    "a0, rows",
+    [
+        (CoeffSeq.zeros(3), (0, 0, 0, 0)),
+        (CoeffSeq.delta(3, 0, 0.7), (1, 0, 0, 0)),
+        (CoeffSeq.cosine(3, 0.4), None),
+    ],
+    ids=["zero", "mode-0", "cosine"],
+)
+def test_edge_data_take_both_routes_alike(monkeypatch, a0, rows):
+    # each input is exactly Hermitian; with the gate forced shut the same
+    # data run through the full products and must give the same tables
+    K, ts = 3, (0.05, 0.3)
+    mirrored = [depth_term_tables(a0, K, project) for project in (False, True)]
+    monkeypatch.setattr(ops, "_hermitian", lambda seq: False)
+    full = [depth_term_tables(a0, K, project) for project in (False, True)]
+    for m, f in zip(itertools.chain(*mirrored), itertools.chain(*full)):
+        assert _mirror_symmetric(m)
+        assert set(zip(m.root_idx, m.powers, m.freqs)) == set(zip(f.root_idx, f.powers, f.freqs))
+        scale = np.max(np.abs(f.weights), initial=0.0)
+        gap = np.max(np.abs(evaluate_term_table(m, ts) - evaluate_term_table(f, ts)))
+        assert gap <= 1e-14 * scale
+    if rows is not None:
+        assert all(tuple(t.weights.size for t in tables) == rows for tables in mirrored + full)
 
 
 def test_graded_mode_range_guard_before_any_node_step(monkeypatch):
