@@ -334,7 +334,7 @@ def _exp_oracle_compare(params, out, seed, jobs):
         )
     _csv(out / "oracle_compare.csv", ["t", "sup_mode_error"], rows)
     (out / "solution.json").write_text(json.dumps(sol.to_json_dict(), sort_keys=True))
-    return params, assertions, {"oracle": rhs_route(N)}
+    return params, assertions, {"oracle": rhs_route(a0)}
 
 
 def _exp_gauge_check(params, out, seed, jobs):
@@ -364,7 +364,7 @@ def _exp_gauge_check(params, out, seed, jobs):
         _assert_row("gauge-equivalence sup-mode error <= tol", err, tol, err <= tol),
         _assert_row("mass drift both flows <= 1e-8", drift, 1e-8, drift <= 1e-8),
     ]
-    return params, assertions, {"oracle": rhs_route(N)}
+    return params, assertions, {"oracle": rhs_route(a0)}
 
 
 def _exp_residual(params, out, seed, jobs):

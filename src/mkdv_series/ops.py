@@ -46,7 +46,7 @@ import numpy as np
 
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
 from .indexer import IndexAssignment, build_assignment, expansion_coefficient
-from .spectral import CoeffSeq, NormIndex, bracket
+from .spectral import CoeffSeq, NormIndex, bracket, is_hermitian
 from .trees import TernaryTree, odd_even_partition
 
 __all__ = [
@@ -285,12 +285,6 @@ def _sum(blocks):
     return _merge(tuple(np.concatenate(col) for col in zip(rows, *parts)))
 
 
-def _hermitian(seq):
-    """True when a(-n) == conj a(n) holds exactly: is_real_field's
-    tolerance would let the mirror drop a non-Hermitian part."""
-    return np.array_equal(seq.values, np.conj(seq.values[::-1]))
-
-
 def _mirror(rows):
     """A Hermitian table's rows from its rows with n >= 0: each row with
     n > 0 also gives (-n, m, -u, conj c).  The mirrored rows come in
@@ -421,7 +415,7 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     if K > 0:
         _check_mode_range(K, N)
     bound = [N if project_internal else (2 * (K - k) + 1) * N for k in range(K + 1)]
-    hermitian = _hermitian(a0)
+    hermitian = is_hermitian(a0.values)
     mirror = _mirror if hermitian else lambda rows: rows
     A, R = [_support_rows(a0)], []
     for k in range(1, K + 1):

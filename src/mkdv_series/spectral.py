@@ -28,7 +28,14 @@ __all__ = [
     "l2_mass",
     "gauge_shift",
     "random_real_field",
+    "is_hermitian",
 ]
+
+
+def is_hermitian(values) -> bool:
+    """``CoeffSeq.is_real_field(tol=0.0)`` on raw values: a route that keeps
+    only the modes n >= 0 would drop any non-Hermitian part a tolerance lets in."""
+    return np.array_equal(values, np.conj(values[..., ::-1]))
 
 
 def bracket(n):

@@ -237,7 +237,7 @@ def test_gauge_check_small(tmp_path):
     "kind, params, route",
     [
         ("oracle-compare", {"data": "delta(0, 0)", "N": 4, "K": 2, "t": 0.01, "dt": 1e-4, "halving": False}, "direct"),
-        ("gauge-check", {"N": oracle._FFT_MIN_N, "eps": 0.2, "t": 2e-5, "dt": 2e-6}, "fft"),
+        ("gauge-check", {"N": oracle._FFT_MIN_N, "eps": 0.2, "t": 2e-5, "dt": 2e-6}, "fft-real"),
     ],
 )
 def test_manifest_records_rhs_route(tmp_path, kind, params, route):

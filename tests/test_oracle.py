@@ -131,6 +131,55 @@ def test_fft_route_matches_direct(N, monkeypatch):
         assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 101, 256])
+def test_half_route_matches_full_route(N, monkeypatch):
+    # the same exactly Hermitian data, once on the modes 0..N by real
+    # transforms and once forced onto the full complex FFT route
+    a = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(N))
+    assert oracle.rhs_route(a)["rhs_route"] == "fft-real"
+    steps, dt = 20, 0.5 / (1 + N**3)
+
+    def rhs_and_increment():
+        for eq in ("modified_mkdv", "mkdv"):
+            yield oracle_rhs(a, eq, 0.37).values
+            yield oracle_solve_increment(a, OracleConfig(N, dt, eq, steps), steps * dt).values
+
+    half = list(rhs_and_increment())
+    monkeypatch.setattr(oracle, "is_hermitian", lambda values: False)
+    for h, full in zip(half, rhs_and_increment(), strict=True):
+        assert np.max(np.abs(h - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_half_route_trajectories_hermitian_bit_for_bit():
+    N, dt, steps = 64, 1e-6, 10
+    a0 = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(4))
+    for eq in ("modified_mkdv", "mkdv"):
+        cfg = OracleConfig(N, dt, eq, steps)
+        for traj in (oracle_solve(a0, cfg, steps * dt), oracle_solve_increment(a0, cfg, steps * dt)):
+            assert np.array_equal(traj.values[:, :N], np.conj(traj.values[:, :N:-1]))
+
+
+@pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 101])
+def test_one_ulp_off_hermitian_takes_full_route(N, monkeypatch):
+    a = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(N))
+    vals = a.values.copy()
+    vals[N + 3] = np.nextafter(vals[N + 3].real, np.inf) + 1j * vals[N + 3].imag
+    a = a.with_values(vals)
+    assert oracle.rhs_route(a)["rhs_route"] == "fft"
+
+    def half_route(*args):
+        raise AssertionError("data off Hermitian took the half route")
+
+    monkeypatch.setattr(oracle, "_rhs_half", half_route)
+    for eq in ("modified_mkdv", "mkdv"):
+        fft = oracle_rhs(a, eq, 0.37).values
+        oracle_solve_increment(a, OracleConfig(N, 1e-7, eq, 2), 2e-7)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_FFT_MIN_N", 10**9)
+            direct = oracle_rhs(a, eq, 0.37).values
+        assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
 @pytest.mark.parametrize("N", [6, 64])
 def test_rhs_grid_matches_rowwise(N):
     rng = np.random.default_rng(N)

@@ -245,7 +245,7 @@ def test_edge_data_take_both_routes_alike(monkeypatch, a0, rows):
     # data run through the full products and must give the same tables
     K, ts = 3, (0.05, 0.3)
     mirrored = [depth_term_tables(a0, K, project) for project in (False, True)]
-    monkeypatch.setattr(ops, "_hermitian", lambda seq: False)
+    monkeypatch.setattr(ops, "is_hermitian", lambda values: False)
     full = [depth_term_tables(a0, K, project) for project in (False, True)]
     for m, f in zip(itertools.chain(*mirrored), itertools.chain(*full)):
         assert _mirror_symmetric(m)

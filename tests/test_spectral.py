@@ -14,7 +14,7 @@ from mkdv_series import (
     truncate_modes,
     weighted_norm,
 )
-from mkdv_series.spectral import random_real_field
+from mkdv_series.spectral import is_hermitian, random_real_field
 
 
 def test_norm_delta_at_zero():
@@ -111,6 +111,15 @@ def test_gauge_preserves_norm_mass_and_inverts():
 def test_real_field_flag():
     assert CoeffSeq.cosine(4, 0.3).is_real_field()
     assert not CoeffSeq.delta(4, 1, 1.0).is_real_field()
+
+
+def test_exact_hermitian_predicate_is_real_field_at_zero_tolerance():
+    a = random_real_field(8, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(2))
+    off = a.values.copy()
+    off[9] = np.nextafter(off[9].real, np.inf) + 1j * off[9].imag
+    for v in (a.values, off, CoeffSeq.cosine(4, 0.3).values, CoeffSeq.delta(4, 1, 1.0).values):
+        assert is_hermitian(v) == CoeffSeq(len(v) // 2, v).is_real_field(tol=0.0)
+    assert is_hermitian(a.values) and not is_hermitian(off)
 
 
 def test_json_round_trip():
