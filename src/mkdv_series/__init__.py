@@ -25,7 +25,6 @@ from .indexer import (
     sigma,
 )
 from .ops import (
-    apply_tree_operator,
     integral_bound,
     integral_exact,
     kernel_norm_scan,

@@ -76,7 +76,15 @@ def load_initial_data(source: str, N: int) -> CoeffSeq:
     ``random_fl(s, p, R, seed=...)`` which draws real-field data with the
     requested weighted norm.  Anything else is treated as a path to a JSON
     file with the sequence schema {"cutoff": N, "re": [...], "im": [...]}.
+    Data with a NaN or infinite coefficient are rejected.
     """
+    seq = _read_initial_data(source, N)
+    if not np.all(np.isfinite(seq.values)):
+        raise ExperimentError(f"{source}: non-finite coefficient (NaN or Infinity)")
+    return seq
+
+
+def _read_initial_data(source: str, N: int) -> CoeffSeq:
     m = _BUILTIN_RE.match(source.strip())
     if m and m.group(1) in ("cosine", "delta", "random_fl"):
         name = m.group(1)
@@ -328,7 +336,8 @@ def _exp_oracle_compare(params, out, seed, jobs):
         rows.append((t / 2, err_half))
         ratio = err / err_half if err_half > 0 else math.inf
         order = math.log2(ratio) if 0 < ratio < math.inf else math.inf
-        assertions.append(_assert_row("halving ratio >= ratio_min", ratio, ratio_min, ratio >= ratio_min))
+        finite = math.isfinite(err) and math.isfinite(err_half)
+        assertions.append(_assert_row("halving ratio >= ratio_min", ratio, ratio_min, finite and ratio >= ratio_min))
         (out / "order.json").write_text(
             json.dumps({"ratio": ratio, "measured_order": order}, sort_keys=True)
         )

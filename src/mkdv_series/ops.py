@@ -7,32 +7,27 @@ It is evaluated exactly by recursing up the tree with exponential
 polynomials (one antidifferentiation per internal node); no quadrature is
 involved except in the test oracles.
 
-Three routes compute the same sums, cross-checked in the tests:
+Two routes compute the same sums, cross-checked in the tests:
 
 * the scalar reference on :class:`~mkdv_series.exppoly.ExpPoly`
   (``apply_tree_operator_reference``), summed assignment by assignment;
-* the per-tree fold (``tree_term_table``), the depth fold's reference:
-  the literal trilinear node (star and resonant triples) runs once per
-  node, so assignments are summed node by node, not over the
-  (2N+1)^(2k+1) leaf-mode grid;
 * the depth fold (``depth_term_tables``), the solver's route: the sum A_k
   of every tree with k internal nodes as two bilinear products of lower
   depths' tables.
 
-In both folds a node's value is a table of rows (n, m, u, c): sum
-c s^m e^{iws} at mode n in the node's time s, held in the interaction
-picture u = w - n^3, where w = w1 + w2 + w3 + sigma (sigma = n^3 - n1^3
-- n2^3 - n3^3) is u = u1 + u2 + u3.  Rows carry u from the leaves
+The fold holds a depth's value as a table of rows (n, m, u, c): sum
+c s^m e^{iws} at mode n in time s, held in the interaction picture
+u = w - n^3, where a node's w = w1 + w2 + w3 + sigma (sigma = n^3 - n1^3
+- n2^3 - n3^3) is u = u1 + u2 + u3.  Rows carry u from the data
 (u = -n^3) to the returned table; w = u + n^3 is formed only to
 integrate (``_antiderivative``) and to return (``_table``).  For a fixed
 n, order by u is order by w, so a merge sums in the same order in either.
 
-Both folds keep |n| <= N at a node with internal projection, otherwise
-|n| <= (L - l + 1) N for a node over l of L leaves (L = 2K+1 in the depth
-fold): the modes the other leaves can bring back to the cutoff.  Both
-pair rows through ``_pairs``, sum the product blocks through ``_sum`` and
-return through ``_table``.  For exactly Hermitian data the depth fold
-forms only the rows with n >= 0 and mirrors the rest (``_mirror``).
+Depth k keeps |n| <= N with internal projection, otherwise the modes the
+other leaves can bring back to the cutoff.  Products pair rows through
+``_pairs``, their blocks sum through ``_sum``, and a depth returns
+through ``_table``.  For exactly Hermitian data the fold forms only the
+rows with n >= 0 and mirrors the rest (``_mirror``).
 """
 
 from __future__ import annotations
@@ -54,8 +49,6 @@ __all__ = [
     "integral_exact",
     "integral_bound",
     "parity_bound",
-    "apply_tree_operator",
-    "tree_term_table",
     "depth_term_tables",
     "evaluate_term_table",
     "apply_tree_operator_reference",
@@ -135,7 +128,7 @@ def parity_bound(a: IndexAssignment, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the multilinear tree operator: the per-tree fold and the depth fold
+# the multilinear tree operator summed by depth
 # ---------------------------------------------------------------------------
 
 # Elements per vectorized block (row pairs in a product, rows x times in an
@@ -152,8 +145,8 @@ _EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)  # (n, m, 
 
 @dataclass(frozen=True)
 class TermTable:
-    """A tree's operator on fixed leaf data as an exponential polynomial
-    in time per output mode: row r contributes
+    """A depth's sum of tree operators on the data as an exponential
+    polynomial in time per output mode: row r contributes
     weights[r] * t^powers[r] * e^{i freqs[r] t} at mode root_idx[r] - N.
     Rows are sorted by mode, one row per (mode, power, frequency), and a
     mode's rows are contiguous.  Within a mode they are in (power,
@@ -161,8 +154,8 @@ class TermTable:
     negative modes of a depth table of exactly Hermitian data: mode -n
     holds the rows of n mirrored, in reverse order (power descending).
     The merge sizes its key from the rows' own ranges, so the table needs
-    nothing of the tree that built it.  Evaluating at a time is one pass
-    over the rows, so sweeps over t reuse the fold."""
+    nothing of the depth or the data that built it.  Evaluating at a time
+    is one pass over the rows, so sweeps over t reuse the fold."""
 
     cutoff: int
     root_idx: np.ndarray     # int64, position of output mode (mode + N)
@@ -237,28 +230,6 @@ def _pairs(n1, n2, n_lo, n_hi):
         lo, done = hi, int(ends[hi - 1])
 
 
-def _node(children, bound):
-    """Blocks of the trilinear node's products on one child triple: output
-    0 < |n| <= bound, star (sigma = 3 (n1+n2)(n2+n3)(n3+n1) != 0: no pair
-    sum vanishes) with weight -in/3, or resonant (j, -j, j) with weight
-    +in; powers and frequencies u add.  Unmerged and not yet integrated."""
-    (n1, m1, u1, c1), (n2, m2, u2, c2), (n3, m3, u3, c3) = children
-    reach = bound + np.abs(n3).max(initial=0)
-    for i1, i2 in _pairs(n1, n2, -reach, reach):
-        n12 = n1[i1] + n2[i2]
-        for p, j3 in _pairs(n12, n3, -bound, bound):
-            j1, j2, k3 = i1[p], i2[p], n3[j3]
-            s12, s23, s31 = n12[p], n2[j2] + k3, k3 + n1[j1]
-            n = s12 + k3
-            star = (s12 != 0) & (s23 != 0) & (s31 != 0)
-            res = (s12 == 0) & (s23 == 0)
-            keep = np.nonzero((star | res) & (n != 0))[0]
-            j1, j2, j3, n, res = (x[keep] for x in (j1, j2, j3, n, res))
-            weight = np.where(res, 1j * n, (-1j / 3.0) * n)
-            m, u = m1[j1] + m2[j2] + m3[j3], u1[j1] + u2[j2] + u3[j3]
-            yield n, m, u, weight * c1[j1] * c2[j2] * c3[j3]
-
-
 def _product(pairs, lo, hi):
     """Blocks of a (x) b over the table pairs, unmerged: modes, powers and
     frequencies add, coefficients multiply, lo <= n <= hi kept."""
@@ -327,38 +298,6 @@ def _cutoff(tree, leaf_data) -> int:
     if len(cutoffs) != 1:
         raise ValueError(f"all leaf data must share one cutoff, got {sorted(cutoffs)}")
     return cutoffs.pop()
-
-
-def tree_term_table(tree: TernaryTree, leaf_data, project_internal: bool = False) -> TermTable:
-    """Fold the literal trilinear node bottom-up over one tree: the
-    reference the depth fold is checked against.
-
-    A node's value is a table of rows (mode n, power m, frequency u,
-    coefficient c) in the module's frame; a leaf gives its datum's support
-    with m = 0.  Summing over the pairings at every node sums over every
-    admissible assignment of leaf modes, so the root's table is the tree
-    operator.  The cutoff N is the leaf data's.  A node over l of the
-    tree's L leaves keeps |n| <= (L - l + 1) N, the only modes the other
-    leaves can bring back to the cutoff (N at the root); with
-    ``project_internal`` every node keeps |n| <= N.
-    """
-    N = _cutoff(tree, leaf_data)
-    k = tree.internal_count
-    if k == 0:
-        raise ValueError("single-leaf tree has no table; handled by caller")
-    _check_mode_range(k, N)
-
-    data = dict(zip(tree.leaves, leaf_data))
-    rows, under = {}, {}
-    for v in range(tree.size - 1, -1, -1):  # children have larger ids than their parent
-        ch = tree.children[v]
-        if ch is None:
-            rows[v], under[v] = _support_rows(data[v]), 1
-        else:
-            under[v] = sum(under[c] for c in ch)
-            bound = N if project_internal else (len(leaf_data) - under[v] + 1) * N
-            rows[v] = _merge(_antiderivative(_sum(_node(tuple(rows.pop(c) for c in ch), bound))))
-    return _table(rows[0], N)
 
 
 def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> list:
@@ -453,22 +392,6 @@ def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
         terms = table.weights * (t**table.powers * np.exp(1j * t * table.freqs) - at_zero)
         out[lo : lo + step, idx] = np.add.reduceat(terms, first, axis=1)
     return out
-
-
-def apply_tree_operator(tree: TernaryTree, leaf_data, t: float, project_internal: bool = False) -> CoeffSeq:
-    """The multilinear operator of one tree applied to per-leaf data.
-
-    Sums expansion coefficient x leaf-data product x exact oscillatory
-    integral over every admissible assignment with output mode in [-N, N],
-    N the leaf data's cutoff.  A single-leaf tree is the identity on its
-    one datum.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    N = _cutoff(tree, leaf_data)
-    if tree.internal_count == 0:
-        return leaf_data[0]
-    return CoeffSeq(N, evaluate_term_table(tree_term_table(tree, leaf_data, project_internal), [t])[0])
 
 
 def apply_tree_operator_reference(tree: TernaryTree, leaf_data, t: float, project_internal: bool = False) -> CoeffSeq:

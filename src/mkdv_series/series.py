@@ -165,12 +165,17 @@ def _increments(depth_values: np.ndarray, c: float, times: np.ndarray) -> np.nda
 
 def radius_certificate(norm0: float, C: float) -> float:
     """Largest time with a clean geometric tail: sqrt(C t) * norm0^2 <= 1/2,
-    capped at 1.  Zero data certifies the whole unit interval."""
+    capped at 1.  Zero data certifies the whole unit interval; a norm0^4
+    past the float range gives the underflowed radius, 0."""
     if norm0 < 0 or C <= 0:
         raise ValueError("need norm0 >= 0 and C > 0")
     if norm0 == 0.0:
         return 1.0
-    return min(1.0, 1.0 / (4.0 * C * norm0**4))
+    try:
+        q = norm0**4
+    except OverflowError:
+        return 0.0
+    return min(1.0, 1.0 / (4.0 * C * q))
 
 
 def lipschitz_envelope(R: float, C: float, t: float, K: int | None = None) -> float:

@@ -288,6 +288,31 @@ def test_refused_param_rejected_with_exit_2(tmp_path, argv):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("data", ["NaN", "Infinity", "-Infinity", "cosine(nan)", "delta(1, inf)"])
+def test_non_finite_data_rejected_with_exit_2(tmp_path, data):
+    # json reads NaN and Infinity, and float() reads nan and inf in a
+    # builtin's arguments; such data are a bad spec
+    if "(" not in data:
+        path = tmp_path / "data.json"
+        path.write_text(f'{{"cutoff": 2, "re": [0, {data}, 0, 0.5, 0], "im": [0, 0, 0, 0, 0]}}')
+        data = str(path)
+    out = tmp_path / "run"
+    argv = ["--experiment", "oracle-compare", "--param", f'data="{data}"', "--param", "N=2", "--param", "K=1"]
+    assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
+    assert not (out / "manifest.json").exists()
+
+
+def test_non_finite_errors_fail_the_halving_row(tmp_path):
+    # amplitude 1e120 overflows the series and the oracle to NaN: neither
+    # the error row nor the halving ratio between two NaN errors may pass
+    argv = ["--experiment", "oracle-compare", "--param", 'data="cosine(1e120)"', "--param", "N=2", "--param", "K=1"]
+    with np.errstate(all="ignore"):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_ASSERTION
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [a["name"] for a in manifest["assertions"]] == ["sup-mode error <= tol", "halving ratio >= ratio_min"]
+    assert not any(a["passed"] for a in manifest["assertions"])
+
+
 @pytest.mark.parametrize(
     "kind, params, csv_name",
     [

@@ -2,6 +2,7 @@
 kernels.  The quadrature oracles here are deliberately independent of the
 symbolic evaluation they check."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.integrate import dblquad
 from mkdv_series import (
     CoeffSeq,
     NormIndex,
-    apply_tree_operator,
     enumerate_trees,
     integral_bound,
     integral_exact,
@@ -23,13 +23,13 @@ from mkdv_series import (
     weighted_norm,
 )
 from mkdv_series import ops
-from mkdv_series.exppoly import ExpPoly, ep_eval, ep_integrate
-from mkdv_series.indexer import build_assignment, expansion_coefficient
+from mkdv_series.exppoly import ExpPoly, ep_integrate
+from mkdv_series.indexer import build_assignment
 from mkdv_series.ops import (
     apply_tree_operator_reference,
+    depth_term_tables,
     evaluate_term_table,
     tree_integral_poly,
-    tree_term_table,
 )
 from mkdv_series.spectral import bracket, random_real_field
 from mkdv_series.trees import TernaryTree
@@ -96,36 +96,6 @@ def test_integral_rejects_bad_inputs():
         integral_exact(a, 1.5)
 
 
-def test_fold_matches_scalar_integral_on_delta_data():
-    # delta data on every leaf pins one assignment, so the fold's table is
-    # that assignment's coefficient times its symbolic integral
-    rng = np.random.default_rng(1)
-    N = 6
-    # resonant nodes: the root of T1, the inner node of CHAIN, and both
-    cases = [
-        build_assignment(T1, (2, -2, 2)),
-        build_assignment(CHAIN, (3, -3, 3, 1, -2)),
-        build_assignment(CHAIN, (2, -2, 2, -2, 2)),
-    ]
-    assert [a.resonant for a in cases] == [(True,), (False, True), (True, True)]
-    for tree in (T1, CHAIN, enumerate_trees(3)[4], enumerate_trees(3)[11]):
-        found = 0
-        while found < 8:
-            a = build_assignment(tree, rng.integers(-N, N + 1, size=len(tree.leaves)).tolist())
-            if a is None or abs(a.j[0]) > N or a.j[0] == 0:
-                continue
-            cases.append(a)
-            found += 1
-    ts = [0.05, 0.4, 1.0]
-    for a in cases:
-        tree = a.tree
-        data = [CoeffSeq.delta(N, a.j[v], 1.0) for v in tree.leaves]
-        got = evaluate_term_table(tree_term_table(tree, data), ts)[:, a.j[0] + N]
-        poly = tree_integral_poly(tree, a.sigmas)
-        for j, t in enumerate(ts):
-            assert abs(got[j] - expansion_coefficient(a) * ep_eval(poly, t)) < 1e-13
-
-
 # -- decay bounds -----------------------------------------------------------
 
 
@@ -164,58 +134,35 @@ def test_parity_bound_formula():
 # -- the multilinear operator ----------------------------------------------
 
 
-def test_identity_tree():
-    leaf = enumerate_trees(0)[0]
-    d = CoeffSeq.delta(4, 2, 0.3 + 0.1j)
-    out = apply_tree_operator(leaf, [d], 0.5)
-    assert np.array_equal(out.values, d.values)
-
-
 def test_delta_data_single_triple():
+    # depth 1 holds the one tree T1, on one triple (1, 1, 1): sigma = 24
     d = CoeffSeq.delta(3, 1, 1.0)
-    out = apply_tree_operator(T1, [d, d, d], 0.05)
+    out = evaluate_term_table(depth_term_tables(d, 1)[1], [0.05])[0]
     expect = -1j * (np.exp(24j * 0.05) - 1.0) / 24j
-    assert abs(out[3] - expect) < 1e-15
+    assert abs(out[3 + 3] - expect) < 1e-15
     for n in (-3, -2, -1, 0, 1, 2):
-        assert out[n] == 0.0
+        assert out[n + 3] == 0.0
 
 
 def test_cosine_resonant_term():
     c = CoeffSeq.cosine(1, 1.0)  # amplitude 1/2 at modes +-1
     t = 0.1
-    out = apply_tree_operator(T1, [c, c, c], t)
-    assert out[1] == pytest.approx(1j * t / 8)  # branch (1, -1, 1)
-    assert out[-1] == pytest.approx(-1j * t / 8)
-
-
-def test_vectorized_matches_reference():
-    rng = np.random.default_rng(3)
-    # each mode of each datum is zero with this probability; at N = 3 that
-    # also keeps the reference's sweep over leaf modes small
-    for N, zero_frac in ((2, 0.2), (3, 0.4)):
-        for k in (1, 2, 3):
-            for tree in enumerate_trees(k):
-                data = []
-                for _ in tree.leaves:
-                    v = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
-                    v[rng.random(2 * N + 1) < zero_frac] = 0.0
-                    data.append(CoeffSeq(N, v))
-                for project in (False, True):
-                    fast = apply_tree_operator(tree, data, 0.3, project)
-                    slow = apply_tree_operator_reference(tree, data, 0.3, project)
-                    assert np.max(np.abs(fast.values - slow.values)) < 1e-13
+    out = evaluate_term_table(depth_term_tables(c, 1)[1], [t])[0]
+    assert out[1 + 1] == pytest.approx(1j * t / 8)  # branch (1, -1, 1)
+    assert out[-1 + 1] == pytest.approx(-1j * t / 8)
 
 
 def test_key_range_from_rows():
-    # (2k+1) N = 30000 passes the mode-range guard; the merge key is sized
+    # (2K+1) N = 30000 passes the mode-range guard; the merge key is sized
     # by the rows' own ranges, so a large cutoff with small occupied modes
-    # builds its table, and that table is the one assignment's term
-    N = 6000
+    # builds its tables, and depth 2 is its 3 trees' one assignment each
+    N, t = 6000, 0.3
     d = CoeffSeq.delta(N, 1, 1.0)
-    a = build_assignment(CHAIN, (1,) * 5)
-    got = evaluate_term_table(tree_term_table(CHAIN, [d] * 5), [0.3])[0, a.j[0] + N]
-    want = expansion_coefficient(a) * ep_eval(tree_integral_poly(CHAIN, a.sigmas), 0.3)
-    assert abs(got - want) < 1e-13
+    got = evaluate_term_table(depth_term_tables(d, 2)[2], [t])[0]
+    want = sum(apply_tree_operator_reference(tree, [d] * 5, t).values for tree in enumerate_trees(2))
+    scale = np.max(np.abs(want))
+    assert scale > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_key_range_overflow_rejected():
@@ -229,50 +176,30 @@ def test_key_range_overflow_rejected():
     assert ops._merge(fits)[2].tolist() == [2**59, -(2**59)]
 
 
-def test_operator_multilinear_in_each_slot():
-    rng = np.random.default_rng(5)
-    N = 2
-    tree = enumerate_trees(1)[0]
-    data = [
-        CoeffSeq(N, rng.normal(size=5) + 1j * rng.normal(size=5)) for _ in range(3)
-    ]
-    lam = 0.3 - 1.1j
-    base = apply_tree_operator(tree, data, 0.4)
-    scaled_data = [data[0].with_values(lam * data[0].values), data[1], data[2]]
-    scaled = apply_tree_operator(tree, scaled_data, 0.4)
-    assert np.max(np.abs(scaled.values - lam * base.values)) < 1e-14
-
-
 def test_operator_vanishes_at_t_zero():
     rng = np.random.default_rng(6)
     N = 2
-    for k in (1, 2):
-        for tree in enumerate_trees(k):
-            data = [
-                CoeffSeq(N, rng.normal(size=5) + 1j * rng.normal(size=5))
-                for _ in tree.leaves
-            ]
-            out = apply_tree_operator(tree, data, 0.0)
-            assert np.max(np.abs(out.values)) == 0.0
+    for project in (False, True):
+        a0 = CoeffSeq(N, rng.normal(size=5) + 1j * rng.normal(size=5))
+        for table in depth_term_tables(a0, 2, project)[1:]:
+            assert table.weights.size > 0
+            assert np.max(np.abs(evaluate_term_table(table, [0.0]))) == 0.0
 
 
 def test_leaf_count_mismatch_rejected():
     d = CoeffSeq.delta(2, 1, 1.0)
-    with pytest.raises(ValueError):
-        apply_tree_operator(T1, [d, d], 0.1)
-    with pytest.raises(ValueError):
-        apply_tree_operator(T1, [d, d, CoeffSeq.delta(3, 1, 1.0)], 0.1)
+    with pytest.raises(ValueError, match="need 3 leaf sequences"):
+        apply_tree_operator_reference(T1, [d, d], 0.1)
+    with pytest.raises(ValueError, match="share one cutoff"):
+        apply_tree_operator_reference(T1, [d, d, CoeffSeq.delta(3, 1, 1.0)], 0.1)
 
 
 def test_mixed_cutoffs_rejected():
     # the operators read the cutoff N from the leaf data, which must share
     # one; the reference once summed such data into zeros without an error
     mixed = [CoeffSeq.delta(2, 1, 1.0)] * 2 + [CoeffSeq.delta(3, 1, 1.0)]
-    for op in (apply_tree_operator, apply_tree_operator_reference):
-        with pytest.raises(ValueError, match="share one cutoff"):
-            op(T1, mixed, 0.05)
     with pytest.raises(ValueError, match="share one cutoff"):
-        tree_term_table(T1, mixed)
+        apply_tree_operator_reference(T1, mixed, 0.05)
     with pytest.raises(ValueError, match="share one cutoff"):
         majorant_tree(T1, mixed)
 
@@ -290,25 +217,32 @@ def test_majorant_zero_and_deltas():
 
 
 def test_majorant_permutation_symmetric_for_equal_hermitian_input():
+    # the star set, its kernel and the diagonal are symmetric in (n1, n2,
+    # n3), so every order of three distinct inputs gives the same majorant
     rng = np.random.default_rng(8)
-    a = random_real_field(3, NormIndex(0.5, 2.0), 1.0, rng)
-    outs = [majorant_apply(*perm).values for perm in ((a, a, a),)]
-    assert np.max(np.abs(outs[0] - outs[0])) == 0.0  # single distinct permutation
+    data = [CoeffSeq(3, rng.normal(size=7) + 1j * rng.normal(size=7)) for _ in range(3)]
+    outs = [majorant_apply(*perm).values for perm in itertools.permutations(data)]
+    scale = np.max(np.abs(outs[0]))
+    assert scale > 0.0
+    for out in outs[1:]:
+        assert np.max(np.abs(out - outs[0])) <= 1e-14 * scale
     # nonnegativity
     assert np.all(outs[0].real >= 0) and np.max(np.abs(outs[0].imag)) == 0.0
 
 
 def test_majorant_dominates_tree_operator():
+    # |D_k(t)| <= (Ct)^{k/2} sum over the depth-k trees of the majorant,
+    # mode by mode, for the projected depth sums
     rng = np.random.default_rng(9)
-    N, C, t = 3, 16.0, 0.3
+    N, C, t, K = 3, 16.0, 0.3, 3
     idx = NormIndex(0.5, 2.0)
-    for k in (1, 2, 3):
-        for tree in enumerate_trees(k)[:4]:
-            data = [random_real_field(N, idx, 0.7, rng) for _ in tree.leaves]
-            out = apply_tree_operator(tree, data, t, True)
-            maj = majorant_tree(tree, data)
-            bound = (C * t) ** (k / 2.0) * maj.values.real
-            assert np.all(np.abs(out.values) <= bound + 1e-14)
+    for _ in range(3):
+        a0 = random_real_field(N, idx, 0.7, rng)
+        tables = depth_term_tables(a0, K, True)
+        for k in range(1, K + 1):
+            out = evaluate_term_table(tables[k], [t])[0]
+            maj = sum(majorant_tree(tree, [a0] * (2 * k + 1)).values.real for tree in enumerate_trees(k))
+            assert np.all(np.abs(out) <= (C * t) ** (k / 2.0) * maj)
 
 
 def test_majorant_norm_chain():

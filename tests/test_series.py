@@ -25,13 +25,10 @@ from mkdv_series import (
     weighted_norm,
 )
 from mkdv_series import ops
-from mkdv_series.ops import (
-    apply_tree_operator_reference,
-    depth_term_tables,
-    evaluate_term_table,
-    tree_term_table,
-)
-from mkdv_series.spectral import gauge_shift, random_real_field
+from mkdv_series.ops import apply_tree_operator_reference, depth_term_tables, evaluate_term_table
+from mkdv_series.spectral import gauge_shift, is_hermitian, random_real_field
+
+from exact_fold import exact_depth_sums, exact_values, table_keys
 
 
 def cosine_data(N=6, eps=0.1):
@@ -126,49 +123,46 @@ def test_each_depth_is_the_reference_summed_over_trees(monkeypatch):
                 assert np.max(np.abs(sol.depth_values[k, i] - ref)) <= 1e-13 * scale
 
 
-def test_graded_depths_match_per_tree_tables(monkeypatch):
-    # route against route: the graded fold (one table per depth, two
-    # bilinear products) against the literal per-tree fold summed over
-    # every tree of that depth, in values and in rows: every row left after
-    # merging the per-tree tables is a graded row, and the graded fold may
-    # keep only round-off rows besides, which the star mask cancels
-    # exactly and its inclusion-exclusion only to rounding.  Below t ~ 0.1
-    # both routes lose digits to the expanded rows' small-time cancellation
-    # (depth 4, projected: 5e-14 apart at t = 0.05, 7e-13 at t = 0.02),
-    # which is not what this test is about.  With _BLOCK = 64, _sum merges
-    # its parts into the running table within a product, in both folds.
-    # Real-field data (N = 2, dense) take the graded fold's mirrored route.
-    K, ts = 4, (0.1, 0.3)
-    rng = np.random.default_rng(8)
-    inputs = (_complex_data(3, rng), random_real_field(2, NormIndex(0.5, 2.0), 1.0, rng))
-    for a0, block, project in itertools.product(inputs, (ops._BLOCK, 64), (False, True)):
+_RNG = np.random.default_rng(8)
+_REAL = random_real_field(3, NormIndex(0.5, 2.0), 1.0, _RNG)
+_DYADIC = CoeffSeq(3, (_RNG.integers(-8, 9, 7) + 1j * _RNG.integers(-8, 9, 7)) / 8)
+
+
+@pytest.mark.parametrize(
+    "a0, K, project",
+    [(_REAL, 4, True), (_REAL, 3, False), (_DYADIC, 4, True), (_DYADIC, 3, False)],
+    ids=["real-K4-projected", "real-K3", "dyadic-K4-projected", "dyadic-K3"],
+)
+def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
+    # the float fold against the same recursion in Gaussian rationals
+    # (exact_fold), in rows and in values: every exact row is a float row,
+    # and the float fold may keep only round-off rows besides, which the
+    # exact fold cancels to zero.  Dense real data take the mirrored route
+    # and, with the gate forced shut, the full one; dyadic complex data
+    # take the full one.  With _BLOCK = 64, _sum merges its parts into the
+    # running table within a product.
+    N, t = a0.cutoff, 0.3
+    exact = exact_depth_sums(a0.values.tolist(), N, K, project)
+    keys = [table_keys(rows, N) for rows in exact]
+    values = [np.array([complex(v) for v in exact_values(rows, N, t)]) for rows in exact]
+    routes = [False]
+    if is_hermitian(a0.values):
+        routes.append(True)
+    for forced_full, block in itertools.product(routes, (ops._BLOCK, 64)):
         monkeypatch.setattr(ops, "_BLOCK", block)
-        sol = solve_series(a0, SeriesConfig(N=a0.cutoff, K=K, t_grid=ts, project_internal=project))
-        graded = depth_term_tables(a0, K, project)
-        assert sol.depth_rows[0] == np.count_nonzero(a0.values)
+        if forced_full:
+            monkeypatch.setattr(ops, "is_hermitian", lambda values: False)
+        tables = depth_term_tables(a0, K, project)
         for k in range(1, K + 1):
-            tables = [
-                tree_term_table(tree, [a0] * len(tree.leaves), project)
-                for tree in enumerate_trees(k)
-            ]
-            ref = sum(evaluate_term_table(table, ts) for table in tables)
-            scale = np.max(np.abs(ref), axis=1)
-            assert np.all(scale > 0.0)
-            gap = np.max(np.abs(sol.depth_values[k] - ref), axis=1)
-            assert np.all(gap <= 1e-13 * scale)
-            merged = ops._merge(
-                tuple(
-                    np.concatenate(col)
-                    for col in zip(*((t.root_idx, t.powers, t.freqs, t.weights) for t in tables))
-                )
-            )
-            g = graded[k]
-            assert sol.depth_rows[k] == g.weights.size
-            keys = list(zip(g.root_idx.tolist(), g.powers.tolist(), g.freqs.tolist()))
-            per_tree = set(zip(*(col.tolist() for col in merged[:3])))
-            assert per_tree <= set(keys)
-            extra = np.array([key not in per_tree for key in keys], dtype=bool)
+            g = tables[k]
+            rows = list(zip(g.root_idx.tolist(), g.powers.tolist(), g.freqs.tolist()))
+            assert keys[k] <= set(rows)
+            extra = np.array([row not in keys[k] for row in rows], dtype=bool)
             assert np.all(np.abs(g.weights[extra]) <= 1e-15 * np.max(np.abs(g.weights)))
+            scale = np.max(np.abs(values[k]))
+            assert scale > 0.0
+            gap = np.max(np.abs(evaluate_term_table(g, [t])[0] - values[k]))
+            assert gap <= 1e-14 * scale
 
 
 def test_graded_depth_table_does_not_depend_on_K(monkeypatch):
@@ -301,6 +295,16 @@ def test_radius_certificate_examples():
         t = radius_certificate(R, 16.0)
         if t < 1.0:
             assert math.sqrt(16.0 * t) * R * R == pytest.approx(0.5)
+
+
+def test_radius_certificate_past_float_range():
+    # norm0^4 overflows a float from norm0 ~ 1.2e77 on; the radius is its
+    # underflowed value, and the record's views that read it still work
+    assert radius_certificate(1e80, 16.0) == 0.0
+    assert radius_certificate(1e76, 16.0) == 1.0 / (4.0 * 16.0 * 1e76**4)
+    sol = solve_series(CoeffSeq.cosine(2, 1e120), SeriesConfig(N=2, K=0, t_grid=(0.1,)))
+    assert sol.t_max == 0.0 and sol.beyond_certificate[0] and sol.warnings
+    assert sol.to_json_dict()["certificate"]["t_max"] == 0.0
 
 
 def test_depth_norms_below_geometric_envelope():
