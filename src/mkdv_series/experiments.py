@@ -133,11 +133,11 @@ def _read_initial_data(source: str, N: int) -> CoeffSeq:
 # ---------------------------------------------------------------------------
 
 
-def _pop_list(params, key, default, kind):
-    values = params.pop(key, default)
-    if not isinstance(values, list):
-        raise ExperimentError(f"{key} expects a JSON list, got {values!r}")
-    return [kind(v) for v in values]
+def _pop(params, key, default, kind):
+    value = params.pop(key, default)
+    if not isinstance(value, kind):
+        raise ExperimentError(f"{key} expects a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _assert_row(name, value, threshold, passed):
@@ -172,7 +172,7 @@ def _exp_convergence(params, out, seed, jobs):
     K = int(params.pop("K", 3))
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
-    radii = _pop_list(params, "R", [0.5, 1.0, 2.0], float)
+    radii = [float(v) for v in _pop(params, "R", [0.5, 1.0, 2.0], list)]
     C = float(params.pop("C", 16.0))
     ratio_max = float(params.pop("ratio_max", 0.5))
     idx = NormIndex(s, p)
@@ -234,7 +234,7 @@ def _exp_lemma_bound(params, out, seed, jobs):
     K = int(params.pop("K", 3))
     samples = int(params.pop("samples", 1000))
     leaf_range = int(params.pop("leaf_range", 16))
-    times = _pop_list(params, "t", [0.01, 0.1, 1.0], float)
+    times = [float(v) for v in _pop(params, "t", [0.01, 0.1, 1.0], list)]
     C = float(params.pop("C", 16.0))
     tasks = []
     i = 0
@@ -266,7 +266,7 @@ def _exp_kernel_norms(params, out, seed, jobs):
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
     which = str(params.pop("which", "m1"))
-    n_list = _pop_list(params, "n", [4, 16, 64, 256], int)
+    n_list = [int(v) for v in _pop(params, "n", [4, 16, 64, 256], list)]
     M_factor = int(params.pop("M_factor", 10))
     limits = [(key, params.pop(key, None), op) for key, op in (("growth_max", "<="), ("growth_min", ">="))]
     pairs = ((1, 2), (1, 3), (2, 3))
@@ -304,11 +304,11 @@ def _exp_oracle_compare(params, out, seed, jobs):
     t = float(params.pop("t", 0.02))
     dt = float(params.pop("dt", 1e-5))
     data = str(params.pop("data", "cosine(0.1)"))
-    project = bool(params.pop("project_internal", True))
+    project = _pop(params, "project_internal", True, bool)
     tol = float(params.pop("tol", 1e-6))
     oracle_kind = str(params.pop("oracle", "rk4"))
     grid_points = int(params.pop("grid_points", 65))
-    halving = bool(params.pop("halving", True))
+    halving = _pop(params, "halving", True, bool)
     ratio_min = float(params.pop("ratio_min", 2.0**3.5))
     a0 = load_initial_data(data, N)
     if oracle_kind not in ("rk4", "picard"):
@@ -382,7 +382,7 @@ def _exp_residual(params, out, seed, jobs):
     t = float(params.pop("t", 0.05))
     grid_points = int(params.pop("grid_points", 65))
     data = str(params.pop("data", "cosine(0.1)"))
-    project = bool(params.pop("project_internal", True))
+    project = _pop(params, "project_internal", True, bool)
     tol = float(params.pop("tol", 1e-6))
     equation = str(params.pop("equation", "modified_mkdv"))
     # the plain flow is the mean-subtracted series translated by the mass

@@ -15,13 +15,13 @@ Two routes compute the same sums, cross-checked in the tests:
   of every tree with k internal nodes as two bilinear products of lower
   depths' tables.
 
-The fold holds a depth's value as a table of rows (n, m, u, c): sum
-c s^m e^{iws} at mode n in time s, held in the interaction picture
-u = w - n^3, where a node's w = w1 + w2 + w3 + sigma (sigma = n^3 - n1^3
-- n2^3 - n3^3) is u = u1 + u2 + u3.  Rows carry u from the data
-(u = -n^3) to the returned table; w = u + n^3 is formed only to
-integrate (``_antiderivative``) and to return (``_table``).  For a fixed
-n, order by u is order by w, so a merge sums in the same order in either.
+The fold holds a depth's value as rows (key, c): sum c s^m e^{iws} at
+mode n in time s, held in the interaction picture u = w - n^3, where a
+node's w = w1 + w2 + w3 + sigma (sigma = n^3 - n1^3 - n2^3 - n3^3) is
+u = u1 + u2 + u3.  One linear int64 key holds (n, m, u) (``_Key``), so a
+product adds keys and a merge sums on the key alone; (n, m, u) is decoded
+only where a formula needs it.  For a fixed n, order by u is order by w,
+so a merge sums in the same order in either.
 
 Depth k keeps |n| <= N with internal projection, otherwise the modes the
 other leaves can bring back to the cutoff.  Products pair rows through
@@ -140,7 +140,7 @@ _SCAN_ROWS = 512
 # depth_term_tables(N=6, K=5, unprojected) merged 1.25e8 rows at 1 and ran 10-25% slower;
 # at 4, 1.08e8 (1.03e8 merging once per table pair), time level, max RSS 591 -> 120 MB.
 _FOLD = 4
-_EMPTY = (np.empty(0, np.int64),) * 3 + (np.empty(0, np.complex128),)  # (n, m, u, c)
+_EMPTY = (np.empty(0, np.int64), np.empty(0, np.complex128))  # (key, c)
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,48 @@ class TermTable:
     frequency) order, as the fold's last merge leaves them, except at the
     negative modes of a depth table of exactly Hermitian data: mode -n
     holds the rows of n mirrored, in reverse order (power descending).
-    The merge sizes its key from the rows' own ranges, so the table needs
-    nothing of the depth or the data that built it.  Evaluating at a time
-    is one pass over the rows, so sweeps over t reuse the fold."""
+    Evaluating at a time is one pass over the rows, so sweeps over t reuse
+    the fold."""
 
     cutoff: int
     root_idx: np.ndarray     # int64, position of output mode (mode + N)
     powers: np.ndarray       # int64
     freqs: np.ndarray        # int64
     weights: np.ndarray      # complex128
+
+
+class _Key:
+    """A fold row's (n, m, u) as one int64, key = (n Rm + m) Ru + u, with
+    Ru = 2h + 1 and S = Rm Ru: linear, so a product's key is its factors'
+    keys summed, in (n, m, u) order, and mode n holds [n S - h, (n+1) S - h).
+
+    Rm = K + 1 > m.  A row's u is -n^3 of a leaf, its factors' u summed, or
+    -n^3 of its own constant, and depth k keeps |n| <= min((2k+1) d,
+    bound[k]) for data with max |n| = d; so |u| at depth k is at most U_k,
+    that |n|^3 or the largest U_k1 + U_k2 + U_k3 (k1+k2+k3 = k-1), a P
+    row's is within its depth's, and h = max U_k.  Every |n| <= reach =
+    bound[1] + N, so each int64 the fold forms (keys, ``_pairs``' bounds,
+    n^3, w) is below (2 reach + 2) S, or the key raises ValueError."""
+
+    def __init__(self, d, K, bound, N):
+        U = [d**3]
+        for k in range(1, K + 1):
+            sums = (U[i] + U[j] + U[k - 1 - i - j] for i in range(k) for j in range(k - i))
+            U.append(max(min((2 * k + 1) * d, bound[k]) ** 3, *sums))
+        self.Rm, self.h = K + 1, max(U)
+        self.reach, self.Ru, self.S = bound[min(K, 1)] + N, 2 * self.h + 1, self.Rm * (2 * self.h + 1)
+        if (2 * self.reach + 2) * self.S >= 1 << 63:
+            raise ValueError("mode range too large: the (mode, power, frequency) key overflows int64")
+
+    def decode(self, key):
+        """(n, m, u) of the keys."""
+        n, rest = np.divmod(key + self.h, self.S)
+        m, u = np.divmod(rest, self.Ru)
+        return n, m, u - self.h
+
+    def const(self, n):
+        """The keys of (n, 0, -n^3): constants (w = 0) at the modes n."""
+        return n * self.S - n**3
 
 
 def _bincount_complex(inverse, weights, size):
@@ -171,56 +204,43 @@ def _bincount_complex(inverse, weights, size):
 
 
 def _merge(rows):
-    """Sum the rows that share (mode, power, frequency), on one packed
-    int64 key whose digit ranges are the rows' own max |n|, max m and
-    max |u|; the result is sorted by (n, m, u), and rows that cancel to
-    exactly zero are dropped.  Raises ValueError when the key range does
-    not fit in int64."""
-    n, m, u, c = rows
-    if not n.size:
-        return rows
-    # min and max rather than abs: no temporary arrays on the large blocks
-    n_max = max(-int(n.min()), int(n.max()))
-    u_max = max(-int(u.min()), int(u.max()))
-    m_max = int(m.max())
-    m_rad, u_rad = m_max + 1, 2 * u_max + 1
-    if (2 * n_max + 1) * m_rad * u_rad >= 1 << 63:
-        raise ValueError("(mode, power, frequency) key range overflows int64")
-    keys, inverse = np.unique(((n + n_max) * m_rad + m) * u_rad + (u + u_max), return_inverse=True)
-    c = _bincount_complex(inverse, c, keys.size)
-    rest, u = np.divmod(keys, u_rad)
-    n, m = np.divmod(rest, m_rad)
+    """Sum the rows that share a key; the result is sorted by key, that is
+    by (n, m, u), and rows that cancel to exactly zero are dropped."""
+    key, inverse = np.unique(rows[0], return_inverse=True)
+    c = _bincount_complex(inverse, rows[1], key.size)
     nz = c != 0
-    return n[nz] - n_max, m[nz], u[nz] - u_max, c[nz]
+    return key[nz], c[nz]
 
 
-def _antiderivative(rows):
-    """Rows of int_0^s of the given rows, u in and u out.  With w = u + n^3,
-    a resonant row (w = 0) raises its power; c s^m e^{iws} integrates by
-    parts into powers m..0 at frequency w, plus the constant (w = 0, so
-    u = -n^3) that makes the value 0 at s = 0."""
-    n, m, u, c = rows
+def _antiderivative(rows, fmt):
+    """Rows of int_0^s of the given rows.  With w = u + n^3, a resonant
+    row (w = 0) raises its power; c s^m e^{iws} integrates by parts into
+    powers m..0 at frequency w, plus the constant (w = 0, so u = -n^3)
+    that makes the value 0 at s = 0."""
+    key, c = rows
+    n, m, u = fmt.decode(key)
     w = u + n**3
     res = w == 0
-    out = [(n[res], m[res] + 1, u[res], c[res] / (m[res] + 1))]
-    n, m, u, c = n[~res], m[~res], u[~res], c[~res]
+    out = [(key[res] + fmt.Ru, c[res] / (m[res] + 1))]
+    key, n, m, c = key[~res], n[~res], m[~res], c[~res]
     iw = 1j * w[~res]
-    while n.size:
+    while key.size:
         c = c / iw
-        out.append((n, m, u, c))
+        out.append((key, c))
         last = m == 0
-        out.append((n[last], m[last], -n[last] ** 3, -c[last]))
+        out.append((fmt.const(n[last]), -c[last]))
         more = ~last
-        n, m, u, iw, c = n[more], m[more] - 1, u[more], iw[more], -c[more] * m[more]
+        key, n, m, iw, c = key[more] - fmt.Ru, n[more], m[more] - 1, iw[more], -c[more] * m[more]
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _pairs(n1, n2, n_lo, n_hi):
-    """Blocks of about ``_BLOCK`` index pairs (i, j) with n_lo <= n1[i] +
-    n2[j] <= n_hi.  n2 is sorted (tables are sorted by mode), so the j of
-    each i are one contiguous run; n1 may be in any order."""
-    start = np.searchsorted(n2, n_lo - n1, "left")
-    count = np.searchsorted(n2, n_hi - n1, "right") - start
+def _pairs(n1, key2, lo, hi, fmt):
+    """Blocks of about ``_BLOCK`` index pairs (i, j) with lo <= n1[i] +
+    n2[j] <= hi, n2 the modes of key2.  Tables are sorted by mode, if not
+    within a mirrored mode, and each search bound is a mode's first key,
+    so the j of each i are one contiguous run; n1 may be in any order."""
+    start = np.searchsorted(key2, (lo - n1) * fmt.S - fmt.h)
+    count = np.searchsorted(key2, (hi + 1 - n1) * fmt.S - fmt.h) - start
     ends = np.cumsum(count)
     lo, done = 0, 0
     while lo < ends.size and done < ends[-1]:
@@ -230,12 +250,12 @@ def _pairs(n1, n2, n_lo, n_hi):
         lo, done = hi, int(ends[hi - 1])
 
 
-def _product(pairs, lo, hi):
-    """Blocks of a (x) b over the table pairs, unmerged: modes, powers and
-    frequencies add, coefficients multiply, lo <= n <= hi kept."""
-    for (n1, m1, u1, c1), (n2, m2, u2, c2) in pairs:
-        for i, j in _pairs(n1, n2, lo, hi):
-            yield n1[i] + n2[j], m1[i] + m2[j], u1[i] + u2[j], c1[i] * c2[j]
+def _product(pairs, lo, hi, fmt):
+    """Blocks of a (x) b over the table pairs, unmerged: keys add,
+    coefficients multiply, lo <= n <= hi kept."""
+    for (key1, c1), (key2, c2) in pairs:
+        for i, j in _pairs(fmt.decode(key1)[0], key2, lo, hi, fmt):
+            yield key1[i] + key2[j], c1[i] * c2[j]
 
 
 def _sum(blocks):
@@ -256,38 +276,22 @@ def _sum(blocks):
     return _merge(tuple(np.concatenate(col) for col in zip(rows, *parts)))
 
 
-def _mirror(rows):
+def _mirror(rows, fmt):
     """A Hermitian table's rows from its rows with n >= 0: each row with
-    n > 0 also gives (-n, m, -u, conj c).  The mirrored rows come in
-    reverse order, so modes stay sorted."""
-    n = rows[0]
-    pos = slice(int(np.searchsorted(n, 0, "right")), None)
-    return tuple(
-        np.concatenate((flip(col[pos][::-1]), col))
-        for flip, col in zip((np.negative, np.positive, np.negative, np.conj), rows)
-    )
+    n > 0 also gives (-n, m, -u, conj c), key -key + 2m Ru.  The mirrored
+    rows come in reverse order, so modes stay sorted."""
+    pos = slice(int(np.searchsorted(rows[0], fmt.S - fmt.h)), None)
+    key, c = (col[pos][::-1] for col in rows)
+    return np.concatenate((2 * fmt.Ru * fmt.decode(key)[1] - key, rows[0])), np.concatenate((np.conj(c), rows[1]))
 
 
-def _check_mode_range(k, N):
-    # node frequencies grow like the cube of the mode range (2k+1)N
-    if (2 * k + 1) * N >= (1 << 15):
-        raise ValueError("mode range too large for int64 frequency arithmetic")
-
-
-def _support_rows(seq):
-    """A datum as a leaf's rows: its support, m = 0 and w = 0 (u = -n^3)."""
-    support = np.nonzero(seq.values)[0]
-    n = support - seq.cutoff
-    return n, np.zeros(support.size, dtype=np.int64), -(n**3), seq.values[support]
-
-
-def _table(rows, N):
+def _table(rows, N, fmt):
     """The TermTable of a fold's rows: the rows with |n| <= N, at their
     frequency w = u + n^3."""
-    n, m, u, c = rows
+    n, m, u = fmt.decode(rows[0])
     keep = np.abs(n) <= N
     n = n[keep]
-    return TermTable(N, n + N, m[keep], u[keep] + n**3, c[keep])
+    return TermTable(N, n + N, m[keep], u[keep] + n**3, rows[1][keep])
 
 
 def _cutoff(tree, leaf_data) -> int:
@@ -319,10 +323,9 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     terms equal and the three diagonals equal, so the diagonals cancel
     the resonant branch and -(in/3) (full - 3 S(A_k1, A_k2) A_k3) is left.
     The full sum holds the mode-0 pair rows, S, once: 1 - 3 = -2.  In the
-    module's frame u (x) adds modes, powers and frequencies and multiplies
-    coefficients.  What the star mask cancels exactly cancels here to
-    rounding, so a table can keep rows of round-off size (<= 1e-15 of its
-    largest).
+    module's frame u (x) adds keys and multiplies coefficients.  What the
+    star mask cancels exactly cancels here to rounding, so a table can
+    keep rows of round-off size (<= 1e-15 of its largest).
 
     (x) is commutative row by row (integers add, and IEEE products
     commute), so P_j forms each unordered pair k1 < k2 once with A_k1's
@@ -347,32 +350,38 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
     (2(K-k)+1) N, which later depths can still bring back to the cutoff;
     its table keeps |n| <= N.  P_j keeps |n12| = |n - n3| <= bound(j+1) + N,
     as |n3| <= N with projection and <= (2 k3 + 1) N without.  A depth's
-    table does not depend on K beyond rounding.  The mode-range ValueError
-    is raised before any product is formed.
+    table does not depend on K beyond rounding.
+
+    Rows are (key, c) (``_Key``), with radices fixed once from the
+    support's largest |n| and the mode bounds, and checked once, before any
+    product, to fit every int64 the fold forms.  Data that fail that check,
+    or are not finite, raise ValueError.
     """
     N = a0.cutoff
-    if K > 0:
-        _check_mode_range(K, N)
+    if not np.all(np.isfinite(a0.values)):
+        raise ValueError("data must be finite")
     bound = [N if project_internal else (2 * (K - k) + 1) * N for k in range(K + 1)]
+    support = np.nonzero(a0.values)[0]
+    fmt = _Key(int(np.abs(support - N).max(initial=0)), K, bound, N)
     hermitian = is_hermitian(a0.values)
-    mirror = _mirror if hermitian else lambda rows: rows
-    A, R = [_support_rows(a0)], []
+    mirror = functools.partial(_mirror, fmt=fmt) if hermitian else lambda rows: rows
+    A, R = [(fmt.const(support - N), a0.values[support])], []
     for k in range(1, K + 1):
         # each unordered pair k1 < k2 once, its first factor doubled
-        pairs = [((*A[k1][:3], 2.0 * A[k1][3]), A[k - 1 - k1]) for k1 in range(k // 2)]
+        pairs = [((A[k1][0], 2.0 * A[k1][1]), A[k - 1 - k1]) for k1 in range(k // 2)]
         if k % 2:
             pairs.append((A[k // 2],) * 2)
         lo = 0 if hermitian else -bound[k] - N
-        n, m, u, c = mirror(_sum(_product(pairs, lo, bound[k] + N)))
-        R.append((n, m, u, np.where(n == 0, -2.0 * c, c)))
+        key, c = mirror(_sum(_product(pairs, lo, bound[k] + N, fmt)))
+        R.append((key, np.where(fmt.decode(key)[0] == 0, -2.0 * c, c)))
         lo = 1 if hermitian else -bound[k]
-        n, m, u, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], lo, bound[k]))
-        A.append(mirror(_merge(_antiderivative((n, m, u, (-1j / 3.0) * n * c)))))
-    return [_table(rows, N) for rows in A]
+        key, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], lo, bound[k], fmt))
+        A.append(mirror(_merge(_antiderivative((key, (-1j / 3.0) * fmt.decode(key)[0] * c), fmt))))
+    return [_table(rows, N, fmt) for rows in A]
 
 
 def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
-    """Values of the tree operator at the given times.
+    """Values of a depth's sum at the given times.
 
     Returns an array of shape (len(ts), 2N+1), modes ordered -N..N.  The
     table's value at t = 0 (its constant rows) is subtracted row by row,

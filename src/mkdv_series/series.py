@@ -167,7 +167,7 @@ def radius_certificate(norm0: float, C: float) -> float:
     """Largest time with a clean geometric tail: sqrt(C t) * norm0^2 <= 1/2,
     capped at 1.  Zero data certifies the whole unit interval; a norm0^4
     past the float range gives the underflowed radius, 0."""
-    if norm0 < 0 or C <= 0:
+    if not (norm0 >= 0 and C > 0):
         raise ValueError("need norm0 >= 0 and C > 0")
     if norm0 == 0.0:
         return 1.0

@@ -280,12 +280,26 @@ def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
         ["--experiment", "convergence", "--param", "R=1.0"],
         ["--experiment", "kernel-norms", "--param", "n=4"],
         ["--experiment", "lemma-bound", "--param", "t=0.5"],
+        # a flag that is not a JSON boolean; bool("False") is True
+        ["--experiment", "oracle-compare", "--param", "project_internal=False"],
+        ["--experiment", "oracle-compare", "--param", "halving=False"],
+        ["--experiment", "residual", "--param", "project_internal=0"],
     ],
 )
 def test_refused_param_rejected_with_exit_2(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
     assert not (out / "manifest.json").exists()
+
+
+def test_json_boolean_flags_are_read(tmp_path):
+    # false turns the projection and the halving row off
+    argv = ["--experiment", "oracle-compare", "--param", "N=2", "--param", "K=1", "--param", "t=0.01"]
+    argv += ["--param", "dt=1e-3", "--param", "project_internal=false", "--param", "halving=false"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [a["name"] for a in manifest["assertions"]] == ["sup-mode error <= tol"]
+    assert json.loads((tmp_path / "solution.json").read_text())["config"]["project_internal"] is False
 
 
 @pytest.mark.parametrize("data", ["NaN", "Infinity", "-Infinity", "cosine(nan)", "delta(1, inf)"])

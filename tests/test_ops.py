@@ -165,15 +165,37 @@ def test_key_range_from_rows():
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def test_key_range_overflow_rejected():
-    # modes +-1 and |w| = 2^61 span 3 (2^62 + 1) keys, past int64
-    one = np.ones(2, dtype=np.int64)
-    rows = (np.array([-1, 1]), 0 * one, np.array([2**61, -(2**61)]), one.astype(complex))
+def test_key_range_overflow_rejected(monkeypatch):
+    # the key's span is sized from the data's support before the fold: at
+    # N = 6000 and K = 5 a delta at mode 1 folds, and one at mode N, whose
+    # a-priori span is past int64, is refused before any product is formed
+    N, K = 6000, 5
+    assert depth_term_tables(CoeffSeq.delta(N, 1, 1.0), K)[K].weights.size > 0
+
+    def no_product(*args):
+        raise AssertionError("a product was formed before the key-range guard")
+
+    monkeypatch.setattr(ops, "_product", no_product)
     with pytest.raises(ValueError, match="overflows int64"):
-        ops._merge(rows)
-    # a quarter of that frequency range fits
-    fits = (rows[0], rows[1], rows[2] // 4, rows[3])
-    assert ops._merge(fits)[2].tolist() == [2**59, -(2**59)]
+        depth_term_tables(CoeffSeq.delta(N, N, 1.0), K)
+
+
+@pytest.mark.parametrize("N, K, project", [(3, 3, False), (2978, 5, False), (6000, 5, True)])
+def test_key_decodes_and_orders_rows(N, K, project):
+    # random rows inside the fold's radii, and every corner (|n| = reach,
+    # m in {0, K}, |u| = h): a key decodes to its (n, m, u), a constant's
+    # key is (n, 0, -n^3)'s, and key order is (n, m, u) order
+    bound = [N if project else (2 * (K - k) + 1) * N for k in range(K + 1)]
+    fmt = ops._Key(N, K, bound, N)
+    corners = np.array(list(itertools.product((-fmt.reach, fmt.reach), (0, K), (-fmt.h, fmt.h)))).T
+    rng = np.random.default_rng(3)
+    radii = ((-fmt.reach, fmt.reach), (0, K), (-fmt.h, fmt.h))
+    n, m, u = (np.concatenate((rng.integers(a, b + 1, 4000), c)) for (a, b), c in zip(radii, corners))
+    key = (n * fmt.Rm + m) * fmt.Ru + u
+    for got, want in zip(fmt.decode(key), (n, m, u)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(fmt.const(n), n * fmt.Rm * fmt.Ru - n**3)
+    assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((u, m, n)))
 
 
 def test_operator_vanishes_at_t_zero():

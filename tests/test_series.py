@@ -251,15 +251,27 @@ def test_edge_data_take_both_routes_alike(monkeypatch, a0, rows):
         assert all(tuple(t.weights.size for t in tables) == rows for tables in mirrored + full)
 
 
-def test_graded_mode_range_guard_before_any_node_step(monkeypatch):
-    # (2K+1) N = 33000 >= 2^15; depths 1-4 alone would fit
-    def no_product(*args):
-        raise AssertionError("a product was formed before the mode-range guard")
+def _no_product(*args):
+    raise AssertionError("a product was formed before the fold's input checks")
 
-    monkeypatch.setattr(ops, "_product", no_product)
-    a0 = CoeffSeq.delta(3000, 1, 1.0)
+
+def test_graded_mode_range_guard_before_any_node_step(monkeypatch):
+    # a delta at mode N = 6553: its rows reach |n| = 10 N by depth 5, and
+    # their (mode, power, frequency) keys would overflow int64
+    monkeypatch.setattr(ops, "_product", _no_product)
+    a0 = CoeffSeq.delta(6553, 6553, 1.0)
     with pytest.raises(ValueError, match="mode range"):
-        solve_series(a0, SeriesConfig(N=3000, K=5, t_grid=(0.01,)))
+        solve_series(a0, SeriesConfig(N=6553, K=5, t_grid=(0.01,)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+def test_non_finite_data_refused_before_any_product(monkeypatch, bad):
+    # a NaN coefficient would give a NaN record whose certificate reads 1.0
+    monkeypatch.setattr(ops, "_product", _no_product)
+    values = np.array([0.0, 0.5, 0.2, 0.5, 0.0], dtype=complex)
+    values[2] += bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_series(CoeffSeq(2, values), SeriesConfig(N=2, K=1, t_grid=(0.5,)))
 
 
 def test_depth_rows_reported_and_carried_by_the_gauge():
@@ -288,8 +300,9 @@ def test_picard_equivalence():
 def test_radius_certificate_examples():
     assert radius_certificate(0.0, 16.0) == 1.0
     assert radius_certificate(1.0, 16.0) == pytest.approx(1.0 / 64.0)
-    with pytest.raises(ValueError):
-        radius_certificate(-1.0, 16.0)
+    for norm0 in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            radius_certificate(norm0, 16.0)
     # the chosen margin: sqrt(C t) norm^2 = 1/2 at the certified time
     for R in (0.5, 1.0, 2.0):
         t = radius_certificate(R, 16.0)
