@@ -24,10 +24,10 @@ only where a formula needs it.  For a fixed n, order by u is order by w,
 so a merge sums in the same order in either.
 
 Depth k keeps |n| <= N with internal projection, otherwise the modes the
-other leaves can bring back to the cutoff.  Products pair rows through
-``_pairs``, their blocks sum through ``_sum``, and a depth returns
-through ``_table``.  For exactly Hermitian data the fold forms only the
-rows with n >= 0 and mirrors the rest (``_mirror``).
+other leaves can bring back to the cutoff.  ``_product`` pairs the rows
+of all the table pairs of a sum in one pass, ``_sum`` merges its blocks,
+and a depth returns through ``_table``.  For exactly Hermitian data the
+fold forms only the rows with n >= 0 and mirrors the rest (``_mirror``).
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def parity_bound(a: IndexAssignment, t: float) -> float:
 # the multilinear tree operator summed by depth
 # ---------------------------------------------------------------------------
 
-# Elements per vectorized block (row pairs in a product, rows x times in an
-# evaluation); bounds temporary memory.
+# Elements per vectorized block (row pairs in a product, which may span the
+# table pairs of a sum; rows x times in an evaluation); bounds temporary memory.
 _BLOCK = 1 << 16
 # Rows of the (2M+1)^2 box a kernel norm scan evaluates at once.
 _SCAN_ROWS = 512
@@ -173,8 +173,8 @@ class _Key:
     bound[k]) for data with max |n| = d; so |u| at depth k is at most U_k,
     that |n|^3 or the largest U_k1 + U_k2 + U_k3 (k1+k2+k3 = k-1), a P
     row's is within its depth's, and h = max U_k.  Every |n| <= reach =
-    bound[1] + N, so each int64 the fold forms (keys, ``_pairs``' bounds,
-    n^3, w) is below (2 reach + 2) S, or the key raises ValueError."""
+    bound[1] + N, so each int64 the fold forms (keys, ``_product``'s search
+    bounds, n^3, w) is below (2 reach + 2) S, or the key raises ValueError."""
 
     def __init__(self, d, K, bound, N):
         U = [d**3]
@@ -213,12 +213,13 @@ def _merge(rows):
 
 
 def _antiderivative(rows, fmt):
-    """Rows of int_0^s of the given rows.  With w = u + n^3, a resonant
-    row (w = 0) raises its power; c s^m e^{iws} integrates by parts into
-    powers m..0 at frequency w, plus the constant (w = 0, so u = -n^3)
-    that makes the value 0 at s = 0."""
+    """Rows of int_0^s of -(in/3) times the given rows.  With w = u + n^3,
+    a resonant row (w = 0) raises its power; c s^m e^{iws} integrates by
+    parts into powers m..0 at frequency w, plus the constant (w = 0, so
+    u = -n^3) that makes the value 0 at s = 0."""
     key, c = rows
     n, m, u = fmt.decode(key)
+    c = (-1j / 3.0) * n * c
     w = u + n**3
     res = w == 0
     out = [(key[res] + fmt.Ru, c[res] / (m[res] + 1))]
@@ -234,39 +235,42 @@ def _antiderivative(rows, fmt):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-def _pairs(n1, key2, lo, hi, fmt):
-    """Blocks of about ``_BLOCK`` index pairs (i, j) with lo <= n1[i] +
-    n2[j] <= hi, n2 the modes of key2.  Tables are sorted by mode, if not
-    within a mirrored mode, and each search bound is a mode's first key,
-    so the j of each i are one contiguous run; n1 may be in any order."""
-    start = np.searchsorted(key2, (lo - n1) * fmt.S - fmt.h)
-    count = np.searchsorted(key2, (hi + 1 - n1) * fmt.S - fmt.h) - start
-    ends = np.cumsum(count)
-    lo, done = 0, 0
-    while lo < ends.size and done < ends[-1]:
-        hi = max(int(np.searchsorted(ends, done + _BLOCK, "right")), lo + 1)
-        i = np.repeat(np.arange(lo, hi), count[lo:hi])
-        yield i, start[i] + done + np.arange(i.size) - (ends[i] - count[i])
-        lo, done = hi, int(ends[hi - 1])
-
-
 def _product(pairs, lo, hi, fmt):
-    """Blocks of a (x) b over the table pairs, unmerged: keys add,
-    coefficients multiply, lo <= n <= hi kept."""
-    for (key1, c1), (key2, c2) in pairs:
-        for i, j in _pairs(fmt.decode(key1)[0], key2, lo, hi, fmt):
-            yield key1[i] + key2[j], c1[i] * c2[j]
+    """Blocks of about ``_BLOCK`` rows of a (x) b over all the table pairs,
+    unmerged: keys add, coefficients multiply, lo <= n <= hi kept.  Right
+    tables are sorted by mode, if not within a mirrored mode, and each
+    search bound is a mode's first key, so a left row's partners are one
+    run of its own right table; a block holds whole runs of any pairs."""
+    key1, c1, key2, c2 = (np.concatenate(col) for col in zip(*(a + b for a, b in pairs)))
+    start, count, base = [], [], 0
+    for (k1, _), (k2, _) in pairs:
+        n1 = (k1 + fmt.h) // fmt.S
+        begin, end = (np.searchsorted(k2, (m - n1) * fmt.S - fmt.h) for m in (lo, hi + 1))
+        start.append(begin + base)
+        count.append(end - begin)
+        base += k2.size
+    # row i's partners are key2[shift[i] + p], edge[i] <= p < edge[i + 1]
+    edge = np.cumsum(np.concatenate([[0], *count]))
+    shift = np.concatenate(start) - edge[:-1]
+    first = 0
+    while first < shift.size and edge[first] < edge[-1]:
+        last = max(int(np.searchsorted(edge, edge[first] + _BLOCK, "right")) - 1, first + 1)
+        i = np.repeat(np.arange(first, last), edge[first + 1 : last + 1] - edge[first:last])
+        j = shift[i] + np.arange(edge[first], edge[last])
+        yield key1[i] + key2[j], c1[i] * c2[j]
+        first = last
 
 
 def _sum(blocks):
     """The merged sum of the row blocks, merged as they arrive; the parts
     join the running table, first, once they outgrow _FOLD * max(its rows,
     _BLOCK).  A part holds a key once, so keys sum in block order, and a
-    lone merged part or table is returned as it is."""
+    lone merged part or table is returned as it is: a small sum is one
+    block, one merge."""
     rows, parts, held = _EMPTY, [], 0
-    for block in blocks:
-        parts.append(_merge(block))
-        held += parts[-1][0].size
+    for part in map(_merge, blocks):
+        parts.append(part)
+        held += part[0].size
         if held > _FOLD * max(rows[0].size, _BLOCK):
             rows, parts, held = _merge(tuple(np.concatenate(col) for col in zip(rows, *parts))), [], 0
     if not parts:
@@ -315,6 +319,9 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
 
         P_j = sum_{k1+k2=j} A_k1 (x) A_k2,  R_j = P_j with its mode-0 rows
         times -2,  A_k = int_0 -(in/3) sum_{j<k} R_j (x) A_{k-1-j}.
+
+    Each sum is one ``_product`` pass; the -(in/3) weight is applied with
+    the integral (``_antiderivative``), which decodes n anyway.
 
     By inclusion-exclusion over n_i = n, star(a,b,c) = full - a S(b,c)
     - b S(a,c) - c S(a,b) + a b c~ + a b~ c + a~ b c, with S(a,b) =
@@ -373,10 +380,11 @@ def depth_term_tables(a0: CoeffSeq, K: int, project_internal: bool = False) -> l
             pairs.append((A[k // 2],) * 2)
         lo = 0 if hermitian else -bound[k] - N
         key, c = mirror(_sum(_product(pairs, lo, bound[k] + N, fmt)))
-        R.append((key, np.where(fmt.decode(key)[0] == 0, -2.0 * c, c)))
+        c[slice(*np.searchsorted(key, (-fmt.h, fmt.S - fmt.h)))] *= -2.0  # the mode-0 rows
+        R.append((key, c))
         lo = 1 if hermitian else -bound[k]
-        key, c = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], lo, bound[k], fmt))
-        A.append(mirror(_merge(_antiderivative((key, (-1j / 3.0) * fmt.decode(key)[0] * c), fmt))))
+        rows = _sum(_product([(R[j], A[k - 1 - j]) for j in range(k)], lo, bound[k], fmt))
+        A.append(mirror(_merge(_antiderivative(rows, fmt))))
     return [_table(rows, N, fmt) for rows in A]
 
 

@@ -19,6 +19,7 @@ phase (``_increments``) carries the plain flow's gauge.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class SeriesConfig:
     C_bound: float = 16.0
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.N, self.K)):
+            raise ValueError(f"N and K must be integers, got N={self.N!r}, K={self.K!r}")
         if self.N < 0 or self.K < 0:
             raise ValueError("N and K must be nonnegative")
         ts = tuple(float(t) for t in self.t_grid)
@@ -63,8 +66,8 @@ class SeriesConfig:
             raise ValueError("t_grid needs at least one time, all in [0, 1]")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError("times must be nondecreasing")
-        if self.C_bound <= 0:
-            raise ValueError("C_bound must be positive")
+        if not 0.0 < self.C_bound < math.inf:
+            raise ValueError(f"C_bound must be finite and positive, got {self.C_bound!r}")
         object.__setattr__(self, "t_grid", ts)
 
 
@@ -205,6 +208,8 @@ def solve_mkdv_gauged(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:
     """Solve the mean-subtracted flow, then translate by the conserved mass
     to obtain the plain-flow trajectory.  Requires real-field data, since
     the translation speed is the mass of a real field."""
+    if not np.all(np.isfinite(a0.values)):  # first: is_real_field forms inf - inf
+        raise ValueError("data must be finite")
     if not a0.is_real_field():
         raise ValueError("gauged solve requires real-field (Hermitian) data")
     return _solve(a0, cfg, "mkdv", l2_mass(a0))

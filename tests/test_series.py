@@ -94,7 +94,9 @@ def test_each_depth_is_the_reference_summed_over_trees(monkeypatch):
     # forms sigma = 0 triples, resonant (j, -j, j) and excluded ones alike.
     # Real-field data on {-1, 0, 1} takes the mirrored route of the fold;
     # the complex data take the full one.  With _BLOCK = 64, _sum merges
-    # its parts into the running table within a product.
+    # its parts into the running table within a product; with _BLOCK = 5 a
+    # left row's partner run is longer than a block.  At each size some
+    # blocks cut across the table pairs of a sum.
     N, K, ts = 3, 3, (0.05, 0.3)
     rng = np.random.default_rng(21)
     inputs = []
@@ -104,7 +106,7 @@ def test_each_depth_is_the_reference_summed_over_trees(monkeypatch):
             v[n + N] = rng.normal() + 1j * rng.normal()
         inputs.append(CoeffSeq(N, v))
     inputs.append(random_real_field(1, NormIndex(0.5, 2.0), 1.0, rng))
-    blocks = (ops._BLOCK, 64)
+    blocks = (ops._BLOCK, 64, 5)
     for a0, project in itertools.product(inputs, (False, True)):
         refs = {
             (k, i): sum(
@@ -140,7 +142,9 @@ def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
     # exact fold cancels to zero.  Dense real data take the mirrored route
     # and, with the gate forced shut, the full one; dyadic complex data
     # take the full one.  With _BLOCK = 64, _sum merges its parts into the
-    # running table within a product.
+    # running table within a product; with _BLOCK = 5 a left row's partner
+    # run is longer than a block.  At each size some blocks cut across the
+    # table pairs of a sum.
     N, t = a0.cutoff, 0.3
     exact = exact_depth_sums(a0.values.tolist(), N, K, project)
     keys = [table_keys(rows, N) for rows in exact]
@@ -148,7 +152,7 @@ def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
     routes = [False]
     if is_hermitian(a0.values):
         routes.append(True)
-    for forced_full, block in itertools.product(routes, (ops._BLOCK, 64)):
+    for forced_full, block in itertools.product(routes, (ops._BLOCK, 64, 5)):
         monkeypatch.setattr(ops, "_BLOCK", block)
         if forced_full:
             monkeypatch.setattr(ops, "is_hermitian", lambda values: False)
@@ -272,6 +276,16 @@ def test_non_finite_data_refused_before_any_product(monkeypatch, bad):
     values[2] += bad
     with pytest.raises(ValueError, match="finite"):
         solve_series(CoeffSeq(2, values), SeriesConfig(N=2, K=1, t_grid=(0.5,)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gauged_solve_refuses_non_finite_data_without_a_warning(monkeypatch, bad):
+    # the real-field test would form inf - inf (a RuntimeWarning, an error
+    # under the suite's filterwarnings) and refuse the data as not real
+    monkeypatch.setattr(ops, "_product", _no_product)
+    values = np.array([0.0, 0.5, bad, 0.5, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="data must be finite"):
+        solve_mkdv_gauged(CoeffSeq(2, values), SeriesConfig(N=2, K=1, t_grid=(0.5,)))
 
 
 def test_depth_rows_reported_and_carried_by_the_gauge():
@@ -480,5 +494,12 @@ def test_config_validation():
         SeriesConfig(N=4, K=1, t_grid=(1.5,))
     with pytest.raises(ValueError, match="at least one time"):
         SeriesConfig(N=4, K=1, t_grid=())
+    for C in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="C_bound must be finite and positive"):
+            SeriesConfig(N=4, K=1, t_grid=(0.1,), C_bound=C)
+    for N, K in ((4, 1.5), (4, 2.0), (1.0, 1), (4, True)):
+        with pytest.raises(ValueError, match="must be integers"):
+            SeriesConfig(N=N, K=K, t_grid=(0.1,))
+    assert SeriesConfig(N=np.int64(4), K=np.int64(2), t_grid=(0.1,)).K == 2
     with pytest.raises(ValueError):
         solve_series(CoeffSeq.zeros(3), SeriesConfig(N=4, K=1, t_grid=(0.1,)))
