@@ -292,7 +292,7 @@ def _exp_kernel_norms(params, out, seed, jobs):
 def _oracle_config(N, dt, equation, t):
     """RK4 oracle configuration for a run to time t; a step size the oracle
     would refuse raises ValueError, a bad spec, before any work is done."""
-    cfg = OracleConfig(N, dt, equation)  # rejects dt <= 0 before t / dt
+    cfg = OracleConfig(N, dt, equation)  # rejects a dt not finite and positive before t / dt
     cfg = replace(cfg, steps=int(round(t / dt)))
     cfg.check_run(t)
     return cfg

@@ -28,16 +28,21 @@ compares two differently written convolutions.  The triple loop survives
 in the tests as the oracle's own oracle.
 
 Below ``_FFT_MIN_N`` = 56 a one-row cubic convolution is two dense
-``np.convolve`` calls, O(N^2); at and above it, and for any stack of rows
-(``oracle_rhs_grid``), one FFT of b (and of n b), zero-padded to the least
-5-smooth L >= 4N + 1, is cubed or multiplied and inverted, O(N log N).  The
-kept modes sit at indices 2N..4N of the linear convolution (0..6N), and
-length L folds j >= L onto j - L <= 6N - L < 2N exactly when L >= 4N + 1.
-On a 2-core Xeon with numpy 2.4 (median of 15 interleaved runs) one-row
-routes break even near N = 64-72 (modified flow) and 90 (plain): at N = 56
-the FFT is ~13% and ~50% slower, at N = 256 ~3.7x and ~3x faster.  Stacks
-of 9 and 65 rows, N = 1..55, were never slower by FFT than row by row
-direct, and up to ~6x faster at 65 rows.
+convolutions, O(N^2), by the correlate kernel ``np.convolve`` calls, called
+without its wrapper (same bits, ~0.7 us less per convolution); at and above
+it, and for any stack of rows (``oracle_rhs_grid``), one FFT of b (and of
+n b), zero-padded to the least 5-smooth L >= 4N + 1, is cubed or
+multiplied and inverted, O(N log N).  The kept modes sit at indices
+2N..4N of the linear convolution (0..6N), and length L folds j >= L onto
+j - L <= 6N - L < 2N exactly when L >= 4N + 1.  On a 2-core Xeon with
+numpy 2.4 (right-hand sides as the RK4 loop calls them, medians of 15
+interleaved rounds, measured twice, real and complex data alike) one-row
+routes break even near N = 64 (modified flow) and 85-90 (plain): at N = 56
+the FFT is 1.13x and 1.57x slower than the direct route, at N = 72 0.88x
+and 1.15x, at N = 96 0.70x and 0.87x; at N = 256 (before the lean direct
+route) it was ~3.7x and ~3x faster.  Stacks of 9 and 65 rows, N = 1..55,
+were never slower by FFT than row by row direct, and up to ~6x faster at
+65 rows.
 
 From the cutoff on, one row of exactly Hermitian data (a(-n) == conj a(n)
 bit for bit, ``spectral.is_hermitian``) steps its modes 0..N alone: its
@@ -48,22 +53,30 @@ right-hand side or trajectory.  irfft reads only Re b(0) = a(0), which such
 data keep real (the n = 0 right-hand sides are 0 and -mean(u^2 u_x)).  S is
 |a(0)|^2 + 2 sum_{n>=1} |a(n)|^2.  The plain flow forms u^2 u_x from a
 second irfft, of i n b: (n/3) conv3(b) is exact too, but would leave the
-gauge check comparing one convolution with itself.  Against the direct
-route (same host and medians, measured twice) the half route is level at
-N = 56 for the modified flow (0.85-0.98x) and 1.2-1.4x slower for the
-plain one, which breaks even near N = 72-90; at N = 256 it is ~5x faster
-than direct and 1.3x / 1.8x faster than the complex FFT.
+gauge check comparing one convolution with itself.  Against the lean
+direct route (same host and medians) the half route is already faster at
+N = 56 for the modified flow (0.94-0.98x; 0.83-0.87x at N = 64-72) and
+1.4-1.6x slower for the plain one, which breaks even near N = 75-80
+(1.20x at 64, 1.05x at 72, 0.86x at 88); at N = 256 it is ~5x faster than
+direct and 1.3x / 1.8x faster than the complex FFT.
 
-Classical RK4 steps the increment y(t) = a(t) - a(0), with phase factors
-formed from absolute time once per stage time and a compensated update.
+Classical RK4 steps the increment y(t) = a(t) - a(0) with a compensated
+update.  The phase factors are formed from absolute time once per block of
+``_PHASE_BLOCK`` = 32 steps, as one table over the block's stage times
+t_m and t_m + dt/2 (rows 2j, 2j + 1 and 2j + 2 are step j's start,
+midpoint and end); exp, conj and the products are elementwise, so each
+row holds the bits a call at that one stage time would form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import correlate as _correlate
 
 from .spectral import CoeffSeq, is_hermitian
 
@@ -84,6 +97,8 @@ __all__ = [
 _EQUATIONS = ("modified_mkdv", "mkdv")
 # cutoff at and above which the cubic convolution goes through the FFT
 _FFT_MIN_N = 56
+# RK4 steps whose stage phases are formed in one table
+_PHASE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -98,8 +113,12 @@ class OracleConfig:
     def __post_init__(self):
         if self.equation not in _EQUATIONS:
             raise ValueError(f"equation must be one of {_EQUATIONS}")
-        if self.N < 0 or self.dt <= 0 or self.steps < 0:
-            raise ValueError("bad oracle configuration")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.N, self.steps)):
+            raise ValueError(f"N and steps must be integers, got N={self.N!r}, steps={self.steps!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if self.N < 0 or self.steps < 0:
+            raise ValueError("N and steps must be nonnegative")
 
     @property
     def dt_limit(self) -> float:
@@ -153,8 +172,11 @@ def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     the FFT."""
     N = (b.shape[-1] - 1) // 2
     if b.ndim == 1 and N < _FFT_MIN_N:
-        # "valid" keeps exactly the full convolution's indices 2N..4N
-        return np.convolve(np.convolve(b, b), b if c is None else c, "valid")
+        # np.convolve(np.convolve(b, b), c, "valid") by the kernel it calls,
+        # a correlation with the reversed second factor; "valid" keeps
+        # exactly the full convolution's indices 2N..4N
+        c = b if c is None else c
+        return _correlate(_correlate(b, b[::-1], "full"), c[::-1], "valid")
     L = _fft_length(4 * N + 1)
     fb = np.fft.fft(b, L)
     fc = fb if c is None else np.fft.fft(c, L)
@@ -201,12 +223,13 @@ def _mirror(out: np.ndarray) -> np.ndarray:
 
 
 def _flow(N: int, equation: str, lo: int = 0):
-    """Modes lo-N..N and t -> (phases e^{-in^3 t}, their conjugate times
+    """Modes lo-N..N, as the complex n + 0j every product with complex
+    data casts them to, and t -> (phases e^{-in^3 t}, their conjugate times
     the flow's weight), the weight being -in/3 (mean-subtracted) or -i."""
     if equation not in _EQUATIONS:
         raise ValueError(f"equation must be one of {_EQUATIONS}")
-    modes = np.arange(lo - N, N + 1)
-    exponents = -1j * modes.astype(float) ** 3
+    modes = np.arange(lo - N, N + 1).astype(complex)
+    exponents = -1j * modes.real ** 3
     weight = (-1j / 3.0) * modes if equation == "modified_mkdv" else -1j
 
     def phases(t):
@@ -253,7 +276,10 @@ def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
     N, dt, eq = cfg.N, cfg.dt, cfg.equation
     lo, rhs = _route(a0.values)            # a half route mirrors at the end
     modes, phases = _flow(N, eq, lo)
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
+    # the stage weights as 0-d complex arrays: they multiply as the floats
+    # do (each cast to x + 0j), at about half a Python float's call cost
+    c_half, c_dt, c_sixth = (np.array(complex(x)) for x in (half, dt, dt / 6.0))
     base = a0.values[lo:]
     out = np.empty((cfg.steps + 1, 2 * N + 1), dtype=np.complex128)
     rows = out[:, lo:]
@@ -261,22 +287,26 @@ def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:
     y = np.zeros_like(base)
     comp = np.zeros_like(base)             # Kahan carry for the increment sum
     rows[0] = y
-    # phase factors at the stage times; a step's end ones start the next
-    ph, wphc = phases(0.0)
-    for m in range(cfg.steps):
-        ph_mid, wphc_mid = phases(times[m] + half)
-        ph_end, wphc_end = phases(times[m + 1])
-        k1 = rhs(base + y, ph, wphc, modes, eq)
-        k2 = rhs(base + (y + half * k1), ph_mid, wphc_mid, modes, eq)
-        k3 = rhs(base + (y + half * k2), ph_mid, wphc_mid, modes, eq)
-        k4 = rhs(base + (y + dt * k3), ph_end, wphc_end, modes, eq)
-        incr = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yy = incr - comp
-        s = y + yy
-        comp = (s - y) - yy
-        y = s
-        rows[m + 1] = y
-        ph, wphc = ph_end, wphc_end
+    for m0 in range(0, cfg.steps, _PHASE_BLOCK):
+        # phases at the block's stage times: rows 2j, 2j + 1 and 2j + 2
+        # are step m0 + j's start, midpoint and end
+        m1 = min(m0 + _PHASE_BLOCK, cfg.steps)
+        stage = np.empty(2 * (m1 - m0) + 1)
+        stage[0::2] = times[m0 : m1 + 1]
+        stage[1::2] = times[m0:m1] + half
+        ph, wphc = map(list, phases(stage[:, None]))
+        for j in range(m1 - m0):
+            i = 2 * j
+            k1 = rhs(base + y, ph[i], wphc[i], modes, eq)
+            k2 = rhs(base + (y + c_half * k1), ph[i + 1], wphc[i + 1], modes, eq)
+            k3 = rhs(base + (y + c_half * k2), ph[i + 1], wphc[i + 1], modes, eq)
+            k4 = rhs(base + (y + c_dt * k3), ph[i + 2], wphc[i + 2], modes, eq)
+            incr = c_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)   # k + k is 2k exactly
+            yy = incr - comp
+            s = y + yy
+            comp = (s - y) - yy
+            y = s
+            rows[m0 + j + 1] = y
     return Trajectory(N, times, _mirror(out) if lo else out)
 
 

@@ -1,6 +1,9 @@
 """Classical integrator: right-hand side, conservation, convergence order,
 and the quadrature-based successive-substitution oracle."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from mkdv_series import (
     picard_iterate,
 )
 from mkdv_series import oracle
+from mkdv_series.experiments import _oracle_config
 from mkdv_series.spectral import NormIndex, random_real_field
 
 
@@ -75,8 +79,9 @@ def test_rhs_matches_triple_loop_across_cutoffs(N):
 
 def test_rk4_matches_textbook_steps_on_triple_loop():
     # classical RK4 written out on the triple-loop right-hand side pins the
-    # stage times, phases and weights of the increment loop
-    N, dt, steps = 3, 0.01, 20
+    # stage times, phases and weights of the increment loop, over two full
+    # phase blocks and a partial third
+    N, dt, steps = 3, 0.01, 2 * oracle._PHASE_BLOCK + 5
     rng = np.random.default_rng(7)
     vals = 0.5 * (rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
     for eq in ("modified_mkdv", "mkdv"):
@@ -93,6 +98,26 @@ def test_rk4_matches_textbook_steps_on_triple_loop():
         ref = np.array(ref)
         got = oracle_solve_increment(CoeffSeq(N, vals), OracleConfig(N, dt, eq, steps), steps * dt).values
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [3, oracle._FFT_MIN_N])
+def test_rk4_rows_do_not_depend_on_the_phase_blocks(N):
+    # a longer run repeats a shorter one bit for bit, across a block
+    # boundary, on the direct or half route and the full one; zero steps
+    # give the data alone
+    B, dt = oracle._PHASE_BLOCK, 0.5 / (1 + N**3)
+    rng = np.random.default_rng(N)
+    real = random_real_field(N, NormIndex(0.5, 2.0), 1.0, rng)
+    cplx = CoeffSeq(N, 0.5 * (rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)) / np.sqrt(N))
+    for a0, eq in itertools.product((real, cplx), ("modified_mkdv", "mkdv")):
+        for solve in (oracle_solve, oracle_solve_increment):
+            run = lambda steps: solve(a0, OracleConfig(N, dt, eq, steps), steps * dt)
+            short, long = run(B + 1), run(2 * B + 3)
+            assert short.values.tobytes() == long.values[: B + 2].tobytes()
+            assert short.times.tobytes() == long.times[: B + 2].tobytes()
+            empty = run(0)
+            assert empty.times.tolist() == [0.0]
+            assert empty.values.tobytes() == long.values[:1].tobytes()
 
 
 def test_modified_equals_plain_plus_mean_term():
@@ -112,6 +137,18 @@ def test_rhs_single_mode_probe_vanishes():
     d = CoeffSeq.delta(1, 1, 1e-3 + 5e-4j)
     out = oracle_rhs(d, "modified_mkdv", 0.0)
     assert np.max(np.abs(out.values)) == 0.0
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 55])
+def test_direct_cube_is_bitwise_np_convolve(N):
+    # the one-row direct cube calls numpy's correlate kernel without the
+    # np.convolve wrapper; pin it to the public call on both flows' factors
+    assert N < oracle._FFT_MIN_N
+    rng = np.random.default_rng(N)
+    b = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+    for c in (b, np.arange(-N, N + 1) * b):
+        got = oracle._cubic_conv(b, None if c is b else c)
+        assert got.tobytes() == np.convolve(np.convolve(b, b), c, "valid").tobytes()
 
 
 @pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 101])
@@ -246,6 +283,24 @@ def test_stability_guard():
         oracle_solve(a0, OracleConfig(8, 1e-4, "modified_mkdv", 10), 0.5)
     with pytest.raises(ValueError):
         OracleConfig(8, 1e-4, "kdv5", 10)
+
+
+def test_oracle_config_validation():
+    for N, steps in ((3.0, 10), (3, 2.5), (True, 10), (3, True), (3, False), ("3", 10)):
+        with pytest.raises(ValueError, match="must be integers"):
+            OracleConfig(N, 1e-3, "modified_mkdv", steps)
+    for dt in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            OracleConfig(3, dt)
+    with pytest.raises(ValueError, match="nonnegative"):
+        OracleConfig(-1, 1e-3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        OracleConfig(3, 1e-3, steps=-1)
+    assert OracleConfig(np.int64(3), np.float64(1e-3), steps=np.int64(2)).steps == 2
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        _oracle_config(3, math.nan, "mkdv", 0.05)
+    cfg = _oracle_config(3, 1e-3, "mkdv", 0.05)
+    assert (cfg.N, cfg.dt, cfg.equation, cfg.steps) == (3, 1e-3, "mkdv", 50)
 
 
 def test_increment_solver_consistent():

@@ -29,6 +29,7 @@ from mkdv_series.ops import apply_tree_operator_reference, depth_term_tables, ev
 from mkdv_series.spectral import gauge_shift, is_hermitian, random_real_field
 
 from exact_fold import exact_depth_sums, exact_values, table_keys
+from graded_oracle import graded_oracle
 
 
 def cosine_data(N=6, eps=0.1):
@@ -167,6 +168,22 @@ def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
             assert scale > 0.0
             gap = np.max(np.abs(evaluate_term_table(g, [t])[0] - values[k]))
             assert gap <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "N, K, project, t, steps",
+    [(4, 5, True, 0.3, 312), (2, 3, False, 0.05, 101)],
+    ids=["N4-K5-projected", "N2-K3-padded"],
+)
+def test_each_depth_matches_the_amplitude_graded_rk4(N, K, project, t, steps):
+    # every depth against RK4 alone (graded_oracle), at an N and K beyond
+    # the exact fold's reach; unprojected data are padded to (2K - 1)N.
+    # Measured gaps: <= 6.2e-9 (projected) and <= 5.7e-9 (padded)
+    a0 = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(0))
+    depths = solve_series(a0, SeriesConfig(N=N, K=K, t_grid=(t,), project_internal=project)).depth_values[:, 0]
+    ref = graded_oracle(a0, K, t, project, steps)
+    for k in range(1, K + 1):
+        assert np.max(np.abs(depths[k] - ref[k])) <= 1e-7 * np.max(np.abs(ref[k])), k
 
 
 def test_graded_depth_table_does_not_depend_on_K(monkeypatch):
