@@ -34,15 +34,10 @@ it, and for any stack of rows (``oracle_rhs_grid``), one FFT of b (and of
 n b), zero-padded to the least 5-smooth L >= 4N + 1, is cubed or
 multiplied and inverted, O(N log N).  The kept modes sit at indices
 2N..4N of the linear convolution (0..6N), and length L folds j >= L onto
-j - L <= 6N - L < 2N exactly when L >= 4N + 1.  On a 2-core Xeon with
-numpy 2.4 (right-hand sides as the RK4 loop calls them, medians of 15
-interleaved rounds, measured twice, real and complex data alike) one-row
-routes break even near N = 64 (modified flow) and 85-90 (plain): at N = 56
-the FFT is 1.13x and 1.57x slower than the direct route, at N = 72 0.88x
-and 1.15x, at N = 96 0.70x and 0.87x; at N = 256 (before the lean direct
-route) it was ~3.7x and ~3x faster.  Stacks of 9 and 65 rows, N = 1..55,
-were never slower by FFT than row by row direct, and up to ~6x faster at
-65 rows.
+j - L <= 6N - L < 2N exactly when L >= 4N + 1.  Every transform calls the
+pocketfft ufunc behind ``np.fft``'s wrapper, with the wrapper's scale
+factor and output array: the same kernel and bits, ~2-4 us less per
+transform.
 
 From the cutoff on, one row of exactly Hermitian data (a(-n) == conj a(n)
 bit for bit, ``spectral.is_hermitian``) steps its modes 0..N alone: its
@@ -53,12 +48,23 @@ right-hand side or trajectory.  irfft reads only Re b(0) = a(0), which such
 data keep real (the n = 0 right-hand sides are 0 and -mean(u^2 u_x)).  S is
 |a(0)|^2 + 2 sum_{n>=1} |a(n)|^2.  The plain flow forms u^2 u_x from a
 second irfft, of i n b: (n/3) conv3(b) is exact too, but would leave the
-gauge check comparing one convolution with itself.  Against the lean
-direct route (same host and medians) the half route is already faster at
-N = 56 for the modified flow (0.94-0.98x; 0.83-0.87x at N = 64-72) and
-1.4-1.6x slower for the plain one, which breaks even near N = 75-80
-(1.20x at 64, 1.05x at 72, 0.86x at 88); at N = 256 it is ~5x faster than
-direct and 1.3x / 1.8x faster than the complex FFT.
+gauge check comparing one convolution with itself.  Both inverse
+transforms are one call on the 2-row stack (b, i n b), each row with the
+arithmetic of a call of its own, and the factors i n and -i wphc are formed
+with the flow and its phase tables.
+
+On a 2-core Xeon with numpy 2.4 (right-hand sides as the RK4 loop calls
+them, medians of 15 interleaved rounds; N = 48-96 measured twice, 16-52
+once) the one-row FFT routes are faster than the direct route at every
+N >= 56: at N = 56 the half route takes 0.61-0.62x (modified flow) and
+0.72-0.76x (plain) of the direct time and the complex FFT 0.72-0.73x and
+0.89-0.93x; at N = 96 0.37-0.38x, 0.41x, 0.46-0.48x and 0.56-0.61x.  They
+break even near N = 24 (half, modified), 32 (complex, modified), 40
+(half, plain) and 50-54 (complex, plain).  At N = 256 a right-hand side
+takes 24 us (modified) and 27 us (plain) on the half route, 33 and 40 us
+by the complex FFT and 196 and 192 us direct.  Stacks of 9 and 65 rows,
+N = 1..55, were never slower by FFT than row by row direct, and up to ~6x
+faster at 65 rows, when the transforms still went through the wrappers.
 
 Classical RK4 steps the increment y(t) = a(t) - a(0) with a compensated
 update.  The phase factors are formed from absolute time once per block of
@@ -77,6 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.multiarray import correlate as _correlate
+from numpy.fft import _pocketfft_umath as _pfu   # the ufuncs np.fft's wrappers call, new in numpy 2.0
 
 from .spectral import CoeffSeq, is_hermitian
 
@@ -165,6 +172,35 @@ def _fft_length(n: int) -> int:
         L += 1
 
 
+# np.fft's transforms by the pocketfft ufuncs its wrappers call, with the
+# scale factor and output array the wrappers pass: 1, or 1/L for the
+# inverse complex and the norm="forward" forward real transform.  A
+# ufunc's default core axis is the last one, as axis=-1 gives, and each
+# row of a stack is transformed with the arithmetic of a one-row call.
+
+
+def _fft(x: np.ndarray, L: int) -> np.ndarray:
+    """np.fft.fft(x, L) along the last axis."""
+    return _pfu.fft(x, 1.0, out=np.empty(x.shape[:-1] + (L,), np.complex128))
+
+
+def _ifft(x: np.ndarray) -> np.ndarray:
+    """np.fft.ifft(x) along the last axis."""
+    return _pfu.ifft(x, 1 / x.shape[-1], out=np.empty(x.shape, np.complex128))
+
+
+def _irfft(x: np.ndarray, L: int) -> np.ndarray:
+    """np.fft.irfft(x, L, norm="forward") along the last axis."""
+    return _pfu.irfft(x, 1.0, out=np.empty(x.shape[:-1] + (L,)))
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(x, norm="forward") along the last axis."""
+    L = x.shape[-1]
+    rfft = _pfu.rfft_n_odd if L % 2 else _pfu.rfft_n_even
+    return rfft(x, 1 / L, out=np.empty(x.shape[:-1] + (L // 2 + 1,), np.complex128))
+
+
 def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """sum_{n1+n2+n3=n} b(n1) b(n2) c(n3) for the kept modes |n| <= N,
     along the last axis; c defaults to b (the plain cube).  One row below
@@ -178,9 +214,9 @@ def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         c = b if c is None else c
         return _correlate(_correlate(b, b[::-1], "full"), c[::-1], "valid")
     L = _fft_length(4 * N + 1)
-    fb = np.fft.fft(b, L)
-    fc = fb if c is None else np.fft.fft(c, L)
-    return np.fft.ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
+    fb = _fft(b, L)
+    fc = fb if c is None else _fft(c, L)
+    return _ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
 
 
 def _rhs(values: np.ndarray, ph: np.ndarray, wphc: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
@@ -196,16 +232,20 @@ def _rhs(values: np.ndarray, ph: np.ndarray, wphc: np.ndarray, modes: np.ndarray
 
 def _rhs_half(values: np.ndarray, ph: np.ndarray, wphc: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
     """:func:`_rhs` of one exactly Hermitian row held as its modes 0..N:
-    the field u is real, so real transforms of length L >= 4N + 1 carry it."""
+    the field u is real, so real transforms of length L >= 4N + 1 carry it.
+    The plain flow takes the factors of :func:`_flow`'s half route: i n for
+    modes and -i times its weighted conjugate for wphc."""
     N = values.shape[-1] - 1
     L = _fft_length(4 * N + 1)
-    b = ph * values
-    u = np.fft.irfft(b, L, norm="forward")
     if equation == "mkdv":                 # u^2 u_x has coefficients i conv(b, b, n b)
-        ux = np.fft.irfft(1j * modes * b, L, norm="forward")
-        return (-1j * wphc) * np.fft.rfft(u * u * ux, norm="forward")[: N + 1]
+        b = np.empty((2, N + 1), np.complex128)
+        np.multiply(ph, values, out=b[0])
+        np.multiply(modes, b[0], out=b[1])  # i n b
+        u, ux = _irfft(b, L)                # both inverse transforms in one call
+        return wphc * _rfft(u * u * ux)[: N + 1]
+    u = _irfft(ph * values, L)
     S = 2.0 * np.vdot(values, values).real - abs(values[0]) ** 2
-    return wphc * np.fft.rfft(u * u * u, norm="forward")[: N + 1] + (1j * S) * (modes * values)
+    return wphc * _rfft(u * u * u)[: N + 1] + (1j * S) * (modes * values)
 
 
 def _route(values: np.ndarray):
@@ -225,18 +265,23 @@ def _mirror(out: np.ndarray) -> np.ndarray:
 def _flow(N: int, equation: str, lo: int = 0):
     """Modes lo-N..N, as the complex n + 0j every product with complex
     data casts them to, and t -> (phases e^{-in^3 t}, their conjugate times
-    the flow's weight), the weight being -in/3 (mean-subtracted) or -i."""
+    the flow's weight), the weight being -in/3 (mean-subtracted) or -i.
+    On the half route (lo = N) the plain flow's factors are those
+    :func:`_rhs_half` multiplies by, formed once: i n, and -i times the
+    weighted conjugate (each elementwise, so the bits a call would form)."""
     if equation not in _EQUATIONS:
         raise ValueError(f"equation must be one of {_EQUATIONS}")
     modes = np.arange(lo - N, N + 1).astype(complex)
     exponents = -1j * modes.real ** 3
     weight = (-1j / 3.0) * modes if equation == "modified_mkdv" else -1j
+    plain_half = lo > 0 and equation == "mkdv"
 
     def phases(t):
         ph = np.exp(exponents * t)
-        return ph, weight * ph.conj()
+        wphc = weight * ph.conj()
+        return ph, (-1j * wphc if plain_half else wphc)
 
-    return modes, phases
+    return (1j * modes if plain_half else modes), phases
 
 
 def oracle_rhs(a: CoeffSeq, equation: str = "modified_mkdv", t: float = 0.0) -> CoeffSeq:
@@ -250,10 +295,12 @@ def oracle_rhs(a: CoeffSeq, equation: str = "modified_mkdv", t: float = 0.0) -> 
 
 def oracle_rhs_grid(values: np.ndarray, times: np.ndarray, equation: str = "modified_mkdv") -> np.ndarray:
     """Right-hand side of every row of a [T, 2N+1] stack: row i holds the
-    rotating-frame coefficients (modes -N..N) at absolute time times[i]."""
+    rotating-frame coefficients (modes -N..N) at absolute time times[i].
+    Raises ValueError unless times is one-dimensional and the stack has
+    one odd-length row per time."""
     values = np.asarray(values, dtype=np.complex128)
     times = np.asarray(times, dtype=float)
-    if values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] % 2 == 0:
+    if values.ndim != 2 or times.ndim != 1 or values.shape[0] != times.shape[0] or values.shape[1] % 2 == 0:
         raise ValueError("values must be a [len(times), 2N+1] stack")
     modes, phases = _flow(values.shape[1] // 2, equation)
     return _rhs(values, *phases(times[:, None]), modes, equation)

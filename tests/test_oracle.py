@@ -151,6 +151,77 @@ def test_direct_cube_is_bitwise_np_convolve(N):
         assert got.tobytes() == np.convolve(np.convolve(b, b), c, "valid").tobytes()
 
 
+@pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 64, 101, 256])
+def test_raw_transforms_are_bitwise_np_fft(N):
+    # the FFT routes call pocketfft's ufuncs without np.fft's wrappers; pin
+    # each to the public call, on one row and a 2-row stack, at odd
+    # (225, 405) and even (270, 1080) lengths
+    L = oracle._fft_length(4 * N + 1)
+    rng = np.random.default_rng(N)
+    cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for rows in ((), (2,)):
+        b, full, spectrum = cplx(*rows, N + 1), cplx(*rows, 2 * N + 1), cplx(*rows, L)
+        u = rng.normal(size=rows + (L,))
+        pairs = (
+            (oracle._irfft(b, L), np.fft.irfft(b, L, norm="forward")),
+            (oracle._rfft(u), np.fft.rfft(u, norm="forward")),
+            (oracle._fft(full, L), np.fft.fft(full, L)),
+            (oracle._ifft(spectrum), np.fft.ifft(spectrum)),
+        )
+        for got, want in pairs:
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+
+def public_flow(N, equation, lo=0):
+    # oracle._flow without the plain half route's own factors: n and the
+    # weighted conjugate on every route
+    modes = np.arange(lo - N, N + 1).astype(complex)
+    exponents = -1j * modes.real**3
+    weight = (-1j / 3.0) * modes if equation == "modified_mkdv" else -1j
+
+    def phases(t):
+        ph = np.exp(exponents * t)
+        return ph, weight * ph.conj()
+
+    return modes, phases
+
+
+def public_rhs_half(values, ph, wphc, modes, equation):
+    # oracle._rhs_half by np.fft's public calls, one inverse transform at a
+    # time, on public_flow's factors
+    N = values.shape[-1] - 1
+    L = oracle._fft_length(4 * N + 1)
+    b = ph * values
+    u = np.fft.irfft(b, L, norm="forward")
+    if equation == "mkdv":
+        ux = np.fft.irfft(1j * modes * b, L, norm="forward")
+        return (-1j * wphc) * np.fft.rfft(u * u * ux, norm="forward")[: N + 1]
+    S = 2.0 * np.vdot(values, values).real - abs(values[0]) ** 2
+    return wphc * np.fft.rfft(u * u * u, norm="forward")[: N + 1] + (1j * S) * (modes * values)
+
+
+@pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 256])
+def test_half_route_is_bitwise_the_public_fft_form(N, monkeypatch):
+    # guards the batched plain-flow inverse and the factors folded into the
+    # phase table, over two full phase blocks and a partial third
+    a = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(N))
+    assert oracle.rhs_route(a)["rhs_route"] == "fft-real"
+    steps, dt = 2 * oracle._PHASE_BLOCK + 3, 0.5 / (1 + N**3)
+
+    def rhs_and_increment():
+        for eq in ("modified_mkdv", "mkdv"):
+            for t in (0.0, 0.37):
+                yield oracle_rhs(a, eq, t).values
+            yield oracle_solve_increment(a, OracleConfig(N, dt, eq, steps), steps * dt).values
+
+    lean = list(rhs_and_increment())
+    monkeypatch.setattr(oracle, "_flow", public_flow)
+    monkeypatch.setattr(oracle, "_rhs_half", public_rhs_half)
+    for got, want in zip(lean, rhs_and_increment(), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 101])
 def test_fft_route_matches_direct(N, monkeypatch):
     # 4N+1 is itself 5-smooth at both cutoffs (225 = 3^2 5^2, 405 = 3^4 5),
@@ -215,6 +286,21 @@ def test_one_ulp_off_hermitian_takes_full_route(N, monkeypatch):
             m.setattr(oracle, "_FFT_MIN_N", 10**9)
             direct = oracle_rhs(a, eq, 0.37).values
         assert np.max(np.abs(fft - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize(
+    "shape, times",
+    [
+        ((3, 5), np.array(0.1)),                  # 0-d times
+        ((3, 5), np.zeros((3, 1))),               # a column of times
+        ((3, 5), np.zeros(2)),                    # one time short
+        ((3, 4), np.zeros(3)),                    # even row length
+        ((5,), np.zeros(5)),                      # one row, not a stack
+    ],
+)
+def test_rhs_grid_rejects_a_bad_stack(shape, times):
+    with pytest.raises(ValueError, match=r"\[len\(times\), 2N\+1\] stack"):
+        oracle_rhs_grid(np.zeros(shape, dtype=complex), times)
 
 
 @pytest.mark.parametrize("N", [6, 64])
@@ -313,20 +399,27 @@ def test_increment_solver_consistent():
 
 
 def test_solvers_above_fft_crossover(monkeypatch):
+    # the half route on exactly Hermitian data and the complex FFT route on
+    # complex data, each held against the direct route over 100 steps
     N, dt, steps = 64, 1e-6, 100
-    assert oracle.rhs_route(N)["rhs_route"] == "fft"
-    a0 = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(3))
-    cfg = OracleConfig(N, dt, "modified_mkdv", steps)
-    traj = oracle_solve(a0, cfg, steps * dt)
-    inc = oracle_solve_increment(a0, cfg, steps * dt).values
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_FFT_MIN_N", 10**9)
-        direct = oracle_solve_increment(a0, cfg, steps * dt).values
-    assert np.max(np.abs(inc - direct)) <= 1e-12 * np.max(np.abs(direct))
-    assert np.max(np.abs((a0.values + inc) - traj.values)) <= 1e-15
-    assert invariant_drift(traj) <= 1e-12
-    final = traj.final.values
-    assert np.max(np.abs(final - np.conj(final[::-1]))) <= 1e-12
+    rng = np.random.default_rng(3)
+    real = random_real_field(N, NormIndex(0.5, 2.0), 1.0, rng)
+    cplx = CoeffSeq(N, 0.5 * (rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)) / np.sqrt(N))
+    for a0, route in ((real, "fft-real"), (cplx, "fft")):
+        assert oracle.rhs_route(a0)["rhs_route"] == route
+        for eq in ("modified_mkdv", "mkdv"):
+            cfg = OracleConfig(N, dt, eq, steps)
+            traj = oracle_solve(a0, cfg, steps * dt)
+            inc = oracle_solve_increment(a0, cfg, steps * dt).values
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_FFT_MIN_N", 10**9)
+                direct = oracle_solve_increment(a0, cfg, steps * dt).values
+            assert np.max(np.abs(inc - direct)) <= 1e-12 * np.max(np.abs(direct))
+            assert np.max(np.abs((a0.values + inc) - traj.values)) <= 1e-15
+            if a0 is real:
+                assert invariant_drift(traj) <= 1e-12
+                final = traj.final.values
+                assert np.max(np.abs(final - np.conj(final[::-1]))) <= 1e-12
 
 
 def test_cumulative_simpson_fourth_order():
