@@ -11,24 +11,13 @@ from .spectral import (
     truncate_modes,
     weighted_norm,
 )
-from .trees import (
-    TernaryTree,
-    enumerate_trees,
-    fuss_catalan,
-    odd_even_partition,
-)
+from .trees import TernaryTree, enumerate_trees, odd_even_partition
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
-from .indexer import (
-    IndexAssignment,
-    build_assignment,
-    expansion_coefficient,
-    sigma,
-)
+from .indexer import IndexAssignment, build_assignment, sigma
 from .ops import (
     integral_bound,
     integral_exact,
     kernel_norm_scan,
-    kernel_value,
     majorant_apply,
     majorant_tree,
     parity_bound,
@@ -47,7 +36,6 @@ from .oracle import (
 from .series import (
     SeriesConfig,
     SeriesSolution,
-    lipschitz_envelope,
     ode_residual,
     radius_certificate,
     solve_mkdv_gauged,

@@ -84,6 +84,13 @@ def load_initial_data(source: str, N: int) -> CoeffSeq:
     return seq
 
 
+def _exact_int(name, x: float) -> int:
+    """A builtin's argument, parsed as a float, as the integer it equals."""
+    if not x.is_integer():
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _read_initial_data(source: str, N: int) -> CoeffSeq:
     m = _BUILTIN_RE.match(source.strip())
     if m and m.group(1) in ("cosine", "delta", "random_fl"):
@@ -102,8 +109,10 @@ def _read_initial_data(source: str, N: int) -> CoeffSeq:
             if name == "cosine":
                 return CoeffSeq.cosine(N, *args, **kwargs)
             if name == "delta":
-                return CoeffSeq.delta(N, int(args[0]), *args[1:], **kwargs)
-            seed = int(kwargs.pop("seed", 0))
+                return CoeffSeq.delta(N, _exact_int("mode", args[0]), *args[1:], **kwargs)
+            seed = _exact_int("seed", kwargs.pop("seed", 0.0))
+            if kwargs:
+                raise ValueError(f"unknown keyword(s) {', '.join(sorted(kwargs))}")
             s, p, radius = args
             rng = np.random.default_rng(seed)
             return random_real_field(N, NormIndex(s, p), radius, rng)
@@ -133,11 +142,15 @@ def _read_initial_data(source: str, N: int) -> CoeffSeq:
 # ---------------------------------------------------------------------------
 
 
-def _pop(params, key, default, kind):
-    value = params.pop(key, default)
-    if not isinstance(value, kind):
+def _checked(key, value, kind):
+    # a JSON true or false is a bool, never an int, though Python's bool is one
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ExperimentError(f"{key} expects a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+def _pop(params, key, default, kind):
+    return _checked(key, params.pop(key, default), kind)
 
 
 def _assert_row(name, value, threshold, passed):
@@ -168,8 +181,8 @@ def _map(fn, tasks, jobs):
 
 
 def _exp_convergence(params, out, seed, jobs):
-    N = int(params.pop("N", 5))
-    K = int(params.pop("K", 3))
+    N = _pop(params, "N", 5, int)
+    K = _pop(params, "K", 3, int)
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
     radii = [float(v) for v in _pop(params, "R", [0.5, 1.0, 2.0], list)]
@@ -231,9 +244,9 @@ def _lemma_tree_task(args):
 
 
 def _exp_lemma_bound(params, out, seed, jobs):
-    K = int(params.pop("K", 3))
-    samples = int(params.pop("samples", 1000))
-    leaf_range = int(params.pop("leaf_range", 16))
+    K = _pop(params, "K", 3, int)
+    samples = _pop(params, "samples", 1000, int)
+    leaf_range = _pop(params, "leaf_range", 16, int)
     times = [float(v) for v in _pop(params, "t", [0.01, 0.1, 1.0], list)]
     C = float(params.pop("C", 16.0))
     tasks = []
@@ -266,8 +279,8 @@ def _exp_kernel_norms(params, out, seed, jobs):
     s = float(params.pop("s", 0.5))
     p = float(params.pop("p", 2.0))
     which = str(params.pop("which", "m1"))
-    n_list = [int(v) for v in _pop(params, "n", [4, 16, 64, 256], list)]
-    M_factor = int(params.pop("M_factor", 10))
+    n_list = [_checked("n", v, int) for v in _pop(params, "n", [4, 16, 64, 256], list)]
+    M_factor = _pop(params, "M_factor", 10, int)
     limits = [(key, params.pop(key, None), op) for key, op in (("growth_max", "<="), ("growth_min", ">="))]
     pairs = ((1, 2), (1, 3), (2, 3))
     tasks = [(n, s, p, pair, M_factor * n, which) for n in n_list for pair in pairs]
@@ -299,15 +312,15 @@ def _oracle_config(N, dt, equation, t):
 
 
 def _exp_oracle_compare(params, out, seed, jobs):
-    N = int(params.pop("N", 6))
-    K = int(params.pop("K", 3))
+    N = _pop(params, "N", 6, int)
+    K = _pop(params, "K", 3, int)
     t = float(params.pop("t", 0.02))
     dt = float(params.pop("dt", 1e-5))
     data = str(params.pop("data", "cosine(0.1)"))
     project = _pop(params, "project_internal", True, bool)
     tol = float(params.pop("tol", 1e-6))
     oracle_kind = str(params.pop("oracle", "rk4"))
-    grid_points = int(params.pop("grid_points", 65))
+    grid_points = _pop(params, "grid_points", 65, int)
     halving = _pop(params, "halving", True, bool)
     ratio_min = float(params.pop("ratio_min", 2.0**3.5))
     a0 = load_initial_data(data, N)
@@ -347,7 +360,7 @@ def _exp_oracle_compare(params, out, seed, jobs):
 
 
 def _exp_gauge_check(params, out, seed, jobs):
-    N = int(params.pop("N", 16))
+    N = _pop(params, "N", 16, int)
     eps = float(params.pop("eps", 0.1))
     t = float(params.pop("t", 0.5))
     dt = float(params.pop("dt", 1e-4))
@@ -377,10 +390,10 @@ def _exp_gauge_check(params, out, seed, jobs):
 
 
 def _exp_residual(params, out, seed, jobs):
-    N = int(params.pop("N", 8))
-    K = int(params.pop("K", 3))
+    N = _pop(params, "N", 8, int)
+    K = _pop(params, "K", 3, int)
     t = float(params.pop("t", 0.05))
-    grid_points = int(params.pop("grid_points", 65))
+    grid_points = _pop(params, "grid_points", 65, int)
     data = str(params.pop("data", "cosine(0.1)"))
     project = _pop(params, "project_internal", True, bool)
     tol = float(params.pop("tol", 1e-6))

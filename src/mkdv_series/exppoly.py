@@ -19,13 +19,12 @@ import numpy as np
 
 __all__ = ["ExpPoly", "ep_mul", "ep_integrate", "ep_eval"]
 
-_PRUNE = 0.0  # coefficients exactly zero are dropped; no epsilon pruning
-
 
 @dataclass(frozen=True)
 class ExpPoly:
     """Normalized term list: a tuple of (coeff, power, freq) with at most
-    one term per (power, freq) pair and no zero coefficients."""
+    one term per (power, freq) pair and no coefficient that is exactly
+    zero (there is no epsilon pruning)."""
 
     terms: tuple
 
@@ -41,17 +40,9 @@ class ExpPoly:
             acc[key] = acc.get(key, 0.0 + 0.0j) + complex(c)
         kept = tuple(
             (c, m, w) for (m, w), c in sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if c != _PRUNE
+            if c != 0
         )
         return cls(kept)
-
-    @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "ExpPoly":
-        return cls(((1.0 + 0.0j, 0, 0),))
 
     @classmethod
     def exponential(cls, w: int, coeff: complex = 1.0) -> "ExpPoly":

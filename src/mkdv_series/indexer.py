@@ -9,8 +9,8 @@ different sign layout are admitted by neither branch and are excluded.
 The 2k+1 leaf modes are the free variables and the internal modes are
 derived sums: :func:`build_assignment` labels a tree from its leaf modes
 and applies the admission rule, one assignment at a time.  It serves the
-scalar reference and the integral-bound experiment; the solver's fold in
-ops.py applies the same rule node by node to whole tables of rows.
+integral-bound experiment and the tests' scalar reference; the solver's
+fold in ops.py applies the same rule node by node to whole tables of rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "sigma",
     "IndexAssignment",
     "build_assignment",
-    "expansion_coefficient",
 ]
 
 
@@ -82,13 +81,3 @@ def build_assignment(tree: TernaryTree, leaf_modes) -> IndexAssignment | None:
         resonant.append(pat)
     return IndexAssignment(tree, tuple(j), tuple(sigmas), tuple(resonant))
 
-
-def expansion_coefficient(a: IndexAssignment) -> complex:
-    """Product over internal nodes of the per-branch factor: -i j/3 on the
-    nonresonant branch and +i j on the resonant one.  Empty product is 1."""
-    out = 1.0 + 0.0j
-    internal = a.tree.internal_nodes
-    for v, res in zip(internal, a.resonant):
-        jv = a.j[v]
-        out *= (1j * jv) if res else (-1j * jv / 3.0)
-    return out

@@ -7,13 +7,13 @@ It is evaluated exactly by recursing up the tree with exponential
 polynomials (one antidifferentiation per internal node); no quadrature is
 involved except in the test oracles.
 
-Two routes compute the same sums, cross-checked in the tests:
-
-* the scalar reference on :class:`~mkdv_series.exppoly.ExpPoly`
-  (``apply_tree_operator_reference``), summed assignment by assignment;
-* the depth fold (``depth_term_tables``), the solver's route: the sum A_k
-  of every tree with k internal nodes as two bilinear products of lower
-  depths' tables.
+The scalar integral (``tree_integral_poly``, on
+:class:`~mkdv_series.exppoly.ExpPoly`) serves one assignment at a time,
+as the integral-bound experiment samples them.  The solver's route is the
+depth fold (``depth_term_tables``): the sum A_k of every tree with k
+internal nodes as two bilinear products of lower depths' tables.  The
+tests hold it against a scalar reference summed assignment by assignment
+and against an exact fold in rationals.
 
 The fold holds a depth's value as rows (key, c): sum c s^m e^{iws} at
 mode n in time s, held in the interaction picture u = w - n^3, where a
@@ -33,14 +33,13 @@ fold forms only the rows with n >= 0 and mirrors the rest (``_mirror``).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exppoly import ExpPoly, ep_eval, ep_integrate, ep_mul
-from .indexer import IndexAssignment, build_assignment, expansion_coefficient
+from .indexer import IndexAssignment
 from .spectral import CoeffSeq, NormIndex, bracket, is_hermitian
 from .trees import TernaryTree, odd_even_partition
 
@@ -51,16 +50,14 @@ __all__ = [
     "parity_bound",
     "depth_term_tables",
     "evaluate_term_table",
-    "apply_tree_operator_reference",
     "majorant_apply",
     "majorant_tree",
-    "kernel_value",
     "kernel_norm_scan",
 ]
 
 
 # ---------------------------------------------------------------------------
-# exact integrals: scalar reference path
+# exact integrals, one assignment at a time
 # ---------------------------------------------------------------------------
 
 
@@ -411,29 +408,6 @@ def evaluate_term_table(table: TermTable, ts) -> np.ndarray:
     return out
 
 
-def apply_tree_operator_reference(tree: TernaryTree, leaf_data, t: float, project_internal: bool = False) -> CoeffSeq:
-    """Brute-force evaluation through the scalar assignment stream: every
-    tuple of leaf modes in the data's support, one exact integral each.
-    Used to pin down the fold on small cases."""
-    N = _cutoff(tree, leaf_data)
-    if tree.internal_count == 0:
-        return leaf_data[0]
-    out = np.zeros(2 * N + 1, dtype=np.complex128)
-    # leaf modes where some datum vanishes contribute nothing
-    supports = [[int(m) - N for m in np.nonzero(d.values)[0]] for d in leaf_data]
-    for modes in itertools.product(*supports):
-        a = build_assignment(tree, modes)
-        if a is None or abs(a.j[0]) > N:
-            continue
-        if project_internal and any(abs(a.j[v]) > N for v in tree.internal_nodes):
-            continue
-        w = expansion_coefficient(a)
-        for d, m in zip(leaf_data, modes):
-            w *= d[m]
-        out[a.j[0] + N] += w * integral_exact(a, t)
-    return CoeffSeq(N, out)
-
-
 # ---------------------------------------------------------------------------
 # majorant operator
 # ---------------------------------------------------------------------------
@@ -486,6 +460,9 @@ def majorant_tree(tree: TernaryTree, leaf_data) -> CoeffSeq:
 
 
 def _kernel_array(n1, n2, n3, s: float, which: str):
+    """The kernel at lattice triples (broadcast); ``which`` selects the full
+    kernel, its off-diagonal part m1 (product-form denominator), or the
+    resonant diagonal m2 = |n| / <n>^{2s}."""
     n1 = np.asarray(n1, dtype=float)
     n2 = np.asarray(n2, dtype=float)
     n3 = np.asarray(n3, dtype=float)
@@ -505,13 +482,6 @@ def _kernel_array(n1, n2, n3, s: float, which: str):
         )
         return np.where(off, num / den, 0.0)
     raise ValueError(f"unknown kernel {which!r}")
-
-
-def kernel_value(n1: int, n2: int, n3: int, s: float, which: str = "full") -> float:
-    """Kernel value at one lattice triple; ``which`` selects the full
-    kernel, its off-diagonal part m1 (product-form denominator), or the
-    resonant diagonal m2 = |n| / <n>^{2s}."""
-    return float(_kernel_array(n1, n2, n3, s, which))
 
 
 _PAIRS = {(1, 2), (1, 3), (2, 3)}

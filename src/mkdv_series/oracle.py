@@ -34,10 +34,7 @@ it, and for any stack of rows (``oracle_rhs_grid``), one FFT of b (and of
 n b), zero-padded to the least 5-smooth L >= 4N + 1, is cubed or
 multiplied and inverted, O(N log N).  The kept modes sit at indices
 2N..4N of the linear convolution (0..6N), and length L folds j >= L onto
-j - L <= 6N - L < 2N exactly when L >= 4N + 1.  Every transform calls the
-pocketfft ufunc behind ``np.fft``'s wrapper, with the wrapper's scale
-factor and output array: the same kernel and bits, ~2-4 us less per
-transform.
+j - L <= 6N - L < 2N exactly when L >= 4N + 1.
 
 From the cutoff on, one row of exactly Hermitian data (a(-n) == conj a(n)
 bit for bit, ``spectral.is_hermitian``) steps its modes 0..N alone: its
@@ -51,20 +48,15 @@ second irfft, of i n b: (n/3) conv3(b) is exact too, but would leave the
 gauge check comparing one convolution with itself.  Both inverse
 transforms are one call on the 2-row stack (b, i n b), each row with the
 arithmetic of a call of its own, and the factors i n and -i wphc are formed
-with the flow and its phase tables.
+with the flow and its phase tables.  Only this route calls the pocketfft
+ufuncs behind ``np.fft``'s wrappers, with the wrappers' scale factors and
+output arrays: the same kernel and bits, ~2-4 us less per transform.
 
-On a 2-core Xeon with numpy 2.4 (right-hand sides as the RK4 loop calls
-them, medians of 15 interleaved rounds; N = 48-96 measured twice, 16-52
-once) the one-row FFT routes are faster than the direct route at every
-N >= 56: at N = 56 the half route takes 0.61-0.62x (modified flow) and
-0.72-0.76x (plain) of the direct time and the complex FFT 0.72-0.73x and
-0.89-0.93x; at N = 96 0.37-0.38x, 0.41x, 0.46-0.48x and 0.56-0.61x.  They
-break even near N = 24 (half, modified), 32 (complex, modified), 40
-(half, plain) and 50-54 (complex, plain).  At N = 256 a right-hand side
-takes 24 us (modified) and 27 us (plain) on the half route, 33 and 40 us
-by the complex FFT and 196 and 192 us direct.  Stacks of 9 and 65 rows,
-N = 1..55, were never slower by FFT than row by row direct, and up to ~6x
-faster at 65 rows, when the transforms still went through the wrappers.
+On a 2-core Xeon with numpy 2.4 a right-hand side at N = 256 takes 24 us
+(modified flow) and 27 us (plain) on the half route and ~190 us direct.
+On complex data np.fft's wrappers add ~7-10 us: at N = 56 the FFT takes
+1.07x (modified) and 1.5x (plain) of the direct time, at N = 101 0.59x
+and 0.68x (break-even points per route and flow: ROADMAP.md, item 7).
 
 Classical RK4 steps the increment y(t) = a(t) - a(0) with a compensated
 update.  The phase factors are formed from absolute time once per block of
@@ -78,14 +70,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy._core.multiarray import correlate as _correlate
 from numpy.fft import _pocketfft_umath as _pfu   # the ufuncs np.fft's wrappers call, new in numpy 2.0
 
-from .spectral import CoeffSeq, is_hermitian
+from .spectral import CoeffSeq, is_hermitian, is_integral
 
 __all__ = [
     "OracleConfig",
@@ -120,7 +111,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.equation not in _EQUATIONS:
             raise ValueError(f"equation must be one of {_EQUATIONS}")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.N, self.steps)):
+        if not (is_integral(self.N) and is_integral(self.steps)):
             raise ValueError(f"N and steps must be integers, got N={self.N!r}, steps={self.steps!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
@@ -172,21 +163,11 @@ def _fft_length(n: int) -> int:
         L += 1
 
 
-# np.fft's transforms by the pocketfft ufuncs its wrappers call, with the
-# scale factor and output array the wrappers pass: 1, or 1/L for the
-# inverse complex and the norm="forward" forward real transform.  A
-# ufunc's default core axis is the last one, as axis=-1 gives, and each
-# row of a stack is transformed with the arithmetic of a one-row call.
-
-
-def _fft(x: np.ndarray, L: int) -> np.ndarray:
-    """np.fft.fft(x, L) along the last axis."""
-    return _pfu.fft(x, 1.0, out=np.empty(x.shape[:-1] + (L,), np.complex128))
-
-
-def _ifft(x: np.ndarray) -> np.ndarray:
-    """np.fft.ifft(x) along the last axis."""
-    return _pfu.ifft(x, 1 / x.shape[-1], out=np.empty(x.shape, np.complex128))
+# The half route's real transforms by the pocketfft ufuncs np.fft's
+# wrappers call, with the scale factor and output array the wrappers pass:
+# 1, or 1/L for the norm="forward" forward transform.  A ufunc's default
+# core axis is the last one, as axis=-1 gives, and each row of a stack is
+# transformed with the arithmetic of a one-row call.
 
 
 def _irfft(x: np.ndarray, L: int) -> np.ndarray:
@@ -214,9 +195,9 @@ def _cubic_conv(b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         c = b if c is None else c
         return _correlate(_correlate(b, b[::-1], "full"), c[::-1], "valid")
     L = _fft_length(4 * N + 1)
-    fb = _fft(b, L)
-    fc = fb if c is None else _fft(c, L)
-    return _ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
+    fb = np.fft.fft(b, L)
+    fc = fb if c is None else np.fft.fft(c, L)
+    return np.fft.ifft(fb * fb * fc)[..., 2 * N : 4 * N + 1]
 
 
 def _rhs(values: np.ndarray, ph: np.ndarray, wphc: np.ndarray, modes: np.ndarray, equation: str) -> np.ndarray:
@@ -306,13 +287,12 @@ def oracle_rhs_grid(values: np.ndarray, times: np.ndarray, equation: str = "modi
     return _rhs(values, *phases(times[:, None]), modes, equation)
 
 
-def rhs_route(a) -> dict:
-    """Manifest record: the cutoff N, which cubic convolution the
-    right-hand side uses there, and the cutoff at which it switches from
-    direct to FFT; ``a`` is the data, or a cutoff N read as complex data."""
-    N = a.cutoff if isinstance(a, CoeffSeq) else a
-    route = "fft-real" if isinstance(a, CoeffSeq) and _route(a.values)[0] else "fft"
-    return {"cutoff": N, "rhs_route": route if N >= _FFT_MIN_N else "direct", "fft_min_n": _FFT_MIN_N}
+def rhs_route(a: CoeffSeq) -> dict:
+    """Manifest record: the data's cutoff N, which cubic convolution the
+    right-hand side uses on them, and the cutoff at which it switches from
+    direct to FFT."""
+    route = "fft-real" if _route(a.values)[0] else "fft" if a.cutoff >= _FFT_MIN_N else "direct"
+    return {"cutoff": a.cutoff, "rhs_route": route, "fft_min_n": _FFT_MIN_N}
 
 
 def _rk4_increment(a0: CoeffSeq, cfg: OracleConfig, t: float) -> Trajectory:

@@ -19,13 +19,12 @@ phase (``_increments``) carries the plain flow's gauge.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .oracle import duhamel_integral
-from .spectral import CoeffSeq, NormIndex, l2_mass, weighted_norm
+from .spectral import CoeffSeq, NormIndex, is_integral, l2_mass, weighted_norm
 from .ops import depth_term_tables, evaluate_term_table
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "solve_series",
     "solve_mkdv_gauged",
     "ode_residual",
-    "lipschitz_envelope",
 ]
 
 # The plain flow is recovered from the mean-subtracted one by translating
@@ -57,7 +55,7 @@ class SeriesConfig:
     C_bound: float = 16.0
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (self.N, self.K)):
+        if not (is_integral(self.N) and is_integral(self.K)):
             raise ValueError(f"N and K must be integers, got N={self.N!r}, K={self.K!r}")
         if self.N < 0 or self.K < 0:
             raise ValueError("N and K must be nonnegative")
@@ -179,18 +177,6 @@ def radius_certificate(norm0: float, C: float) -> float:
     except OverflowError:
         return 0.0
     return min(1.0, 1.0 / (4.0 * C * q))
-
-
-def lipschitz_envelope(R: float, C: float, t: float, K: int | None = None) -> float:
-    """Series Lipschitz bound sum_k (2k+1) (Ct)^{k/2} R^{2k} on the ball of
-    radius R; infinite sum when K is None (requires sqrt(Ct) R^2 < 1)."""
-    q = math.sqrt(C * t) * R * R
-    if K is None:
-        if q >= 1.0:
-            raise ValueError("outside the contraction regime")
-        # sum (2k+1) q^k = 2q/(1-q)^2 + 1/(1-q)
-        return 2.0 * q / (1.0 - q) ** 2 + 1.0 / (1.0 - q)
-    return sum((2 * k + 1) * q**k for k in range(K + 1))
 
 
 def solve_series(a0: CoeffSeq, cfg: SeriesConfig) -> SeriesSolution:

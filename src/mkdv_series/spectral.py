@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "gauge_shift",
     "random_real_field",
     "is_hermitian",
+    "is_integral",
 ]
 
 
@@ -36,6 +38,11 @@ def is_hermitian(values) -> bool:
     """``CoeffSeq.is_real_field(tol=0.0)`` on raw values: a route that keeps
     only the modes n >= 0 would drop any non-Hermitian part a tolerance lets in."""
     return np.array_equal(values, np.conj(values[..., ::-1]))
+
+
+def is_integral(v) -> bool:
+    """Whether v is an integer, a numpy integer included; a bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def bracket(n):
@@ -55,6 +62,8 @@ class CoeffSeq:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not is_integral(self.cutoff):
+            raise ValueError(f"cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
         vals = np.asarray(self.values, dtype=np.complex128)

@@ -9,14 +9,12 @@ one-internal-node tree is "ILLL"; its nodes are numbered in preorder
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 __all__ = [
     "TernaryTree",
     "enumerate_trees",
-    "fuss_catalan",
     "odd_even_partition",
 ]
 
@@ -91,14 +89,6 @@ class TernaryTree:
         if not (0 <= v < self.size):
             raise ValueError(f"node id {v} out of range")
         return self.children[v] is None
-
-
-def fuss_catalan(k: int) -> int:
-    """Number of ordered ternary trees with k internal nodes:
-    C(3k, k) / (2k + 1), computed with exact integer arithmetic."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return math.comb(3 * k, k) // (2 * k + 1)
 
 
 @lru_cache(maxsize=None)

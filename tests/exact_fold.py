@@ -8,8 +8,8 @@ exact in Q(i): products, the -(in/3) weight, the division by iw and by
 m + 1.  Rows whose sum is exactly zero are deleted.  The fold has no
 blocks, no mirror, no pair doubling and no merge order, so it shares
 none of the float fold's shortcuts; it shares the P/R inclusion-exclusion
-identity, which the scalar reference (``apply_tree_operator_reference``
-summed over trees) checks.  Pure Python: no numpy in the fold.
+identity, which the scalar reference (``scalar_reference.py``, summed
+over trees) checks.  Pure Python: no numpy in the fold.
 """
 
 import math

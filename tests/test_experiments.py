@@ -64,6 +64,14 @@ def test_bad_builtin_rejected():
         load_initial_data("random_fl(0.5)", 4)
 
 
+def test_builtin_refuses_inexact_integers_and_unknown_keywords():
+    # these once read as mode 1, seed 1 and no keyword at all
+    for source in ("delta(1.5, 1)", "random_fl(0.5, 2, 1, seed=1.7)", "random_fl(0.5, 2, 1, bogus=3)"):
+        with pytest.raises(ExperimentError):
+            load_initial_data(source, 4)
+    assert load_initial_data("delta(1.0, 1)", 4)[1] == 1.0
+
+
 # -- experiment runs --------------------------------------------------------
 
 
@@ -289,6 +297,25 @@ def test_oracle_spec_rejected_with_exit_2(tmp_path, argv):
 def test_refused_param_rejected_with_exit_2(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_BAD_SPEC
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        # a JSON true is no integer, and 2.7 is not read as 2
+        ("convergence", "N=true"),
+        ("convergence", "K=2.7"),
+        ("lemma-bound", "samples=10.0"),
+        ("lemma-bound", "leaf_range=false"),
+        ("kernel-norms", "n=[4, 2.5]"),
+        ("kernel-norms", "M_factor=true"),
+        ("residual", "grid_points=65.5"),
+    ],
+)
+def test_integer_param_is_a_json_integer(tmp_path, kind, param):
+    out = tmp_path / "run"
+    assert main(["--experiment", kind, "--param", param, "--out", str(out)]) == EXIT_BAD_SPEC
     assert not (out / "manifest.json").exists()
 
 

@@ -15,7 +15,7 @@ def quad_complex(f, a, b):
 
 def test_add_identities():
     f = ExpPoly.exponential(1)
-    zero = ExpPoly.zero()
+    zero = ExpPoly(())
     assert ExpPoly.from_terms(f.terms + zero.terms).terms == f.terms
     double = ExpPoly.from_terms(f.terms + f.terms)
     assert double.terms == ((2.0 + 0.0j, 0, 1),)
@@ -29,7 +29,7 @@ def test_mul_examples():
     prod = ep_mul(s_eis, e2is)
     assert prod.terms == ((1.0 + 0.0j, 1, 3),)
     f = ExpPoly.from_terms([(2.0, 1, 0), (1j, 0, -1)])
-    assert ep_mul(f, ExpPoly.one()).terms == f.terms
+    assert ep_mul(f, ExpPoly.exponential(0)).terms == f.terms
     # (e^{is} - 1)(e^{-is} - 1) = 2 - e^{is} - e^{-is}
     a = ExpPoly.from_terms([(1.0, 0, 1), (-1.0, 0, 0)])
     b = ExpPoly.from_terms([(1.0, 0, -1), (-1.0, 0, 0)])
@@ -47,7 +47,7 @@ def test_integrate_oscillatory():
 
 
 def test_integrate_resonant():
-    F = ep_integrate(ExpPoly.one())
+    F = ep_integrate(ExpPoly.exponential(0))
     assert F.terms == ((1.0 + 0.0j, 1, 0),)
 
 
@@ -60,7 +60,7 @@ def test_integrate_mixed_vs_quadrature():
 
 
 def test_eval_examples():
-    assert ep_eval(ExpPoly.zero(), 0.4) == 0.0
+    assert ep_eval(ExpPoly(()), 0.4) == 0.0
     assert ep_eval(ExpPoly.exponential(7), 0.0) == pytest.approx(1.0)
     F = ep_integrate(ExpPoly.exponential(180))
     expect = quad_complex(lambda s: np.exp(180j * s), 0.0, 0.01)

@@ -16,7 +16,6 @@ from mkdv_series import (
     integral_bound,
     integral_exact,
     kernel_norm_scan,
-    kernel_value,
     majorant_apply,
     majorant_tree,
     parity_bound,
@@ -25,14 +24,10 @@ from mkdv_series import (
 from mkdv_series import ops
 from mkdv_series.exppoly import ExpPoly, ep_integrate
 from mkdv_series.indexer import build_assignment
-from mkdv_series.ops import (
-    apply_tree_operator_reference,
-    depth_term_tables,
-    evaluate_term_table,
-    tree_integral_poly,
-)
+from mkdv_series.ops import _kernel_array, depth_term_tables, evaluate_term_table, tree_integral_poly
 from mkdv_series.spectral import bracket, random_real_field
 from mkdv_series.trees import TernaryTree
+from scalar_reference import apply_tree_operator_reference
 
 T1 = enumerate_trees(1)[0]
 CHAIN = TernaryTree("IILLLLL")
@@ -288,15 +283,15 @@ def test_majorant_norm_chain():
 
 
 def test_kernel_m2_examples():
-    assert kernel_value(5, -5, 5, 0.5, "m2") == pytest.approx(5.0 / math.sqrt(26))
-    assert kernel_value(5, -4, 5, 0.5, "m2") == 0.0
-    assert kernel_value(1, 2, 3, 0.5, "m2") == 0.0
+    assert _kernel_array(5, -5, 5, 0.5, "m2") == pytest.approx(5.0 / math.sqrt(26))
+    assert _kernel_array(5, -4, 5, 0.5, "m2") == 0.0
+    assert _kernel_array(1, 2, 3, 0.5, "m2") == 0.0
 
 
 def test_kernel_m1_region_condition():
     # n = 6; n2 = 6 hits the excluded hyperplane
-    assert kernel_value(3, 6, -3, 0.5, "m1") == 0.0
-    assert kernel_value(1, 2, 3, 0.5, "m1") > 0.0
+    assert _kernel_array(3, 6, -3, 0.5, "m1") == 0.0
+    assert _kernel_array(1, 2, 3, 0.5, "m1") > 0.0
 
 
 def test_kernel_full_dual_path():
@@ -308,7 +303,7 @@ def test_kernel_full_dual_path():
         * abs(n)
         / (math.sqrt(bracket(sig)) * (bracket(n1) * bracket(n2) * bracket(n3)) ** s)
     )
-    assert kernel_value(n1, n2, n3, s, "full") == pytest.approx(direct)
+    assert _kernel_array(n1, n2, n3, s, "full") == pytest.approx(direct)
     assert sig == 180
 
 
@@ -346,7 +341,7 @@ def test_hoelder_inequality_for_kernel_operator():
                 n = n1 + n2 + n3
                 if abs(n) > N:
                     continue
-                m = kernel_value(n1, n2, n3, s, "full")
+                m = _kernel_array(n1, n2, n3, s, "full")
                 out[n + N] += m * data[0][i1] * data[1][i2] * data[2][i3]
     sup_norm = max(kernel_norm_scan(int(n), s, p, (1, 2), 3 * N, "full") for n in modes)
     lhs = np.linalg.norm(out)

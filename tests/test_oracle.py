@@ -153,20 +153,17 @@ def test_direct_cube_is_bitwise_np_convolve(N):
 
 @pytest.mark.parametrize("N", [oracle._FFT_MIN_N, 64, 101, 256])
 def test_raw_transforms_are_bitwise_np_fft(N):
-    # the FFT routes call pocketfft's ufuncs without np.fft's wrappers; pin
-    # each to the public call, on one row and a 2-row stack, at odd
+    # the half route calls pocketfft's ufuncs without np.fft's wrappers;
+    # pin each to the public call, on one row and a 2-row stack, at odd
     # (225, 405) and even (270, 1080) lengths
     L = oracle._fft_length(4 * N + 1)
     rng = np.random.default_rng(N)
     cplx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
     for rows in ((), (2,)):
-        b, full, spectrum = cplx(*rows, N + 1), cplx(*rows, 2 * N + 1), cplx(*rows, L)
-        u = rng.normal(size=rows + (L,))
+        b, u = cplx(*rows, N + 1), rng.normal(size=rows + (L,))
         pairs = (
             (oracle._irfft(b, L), np.fft.irfft(b, L, norm="forward")),
             (oracle._rfft(u), np.fft.rfft(u, norm="forward")),
-            (oracle._fft(full, L), np.fft.fft(full, L)),
-            (oracle._ifft(spectrum), np.fft.ifft(spectrum)),
         )
         for got, want in pairs:
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
@@ -228,9 +225,9 @@ def test_fft_route_matches_direct(N, monkeypatch):
     # so the padding is the least alias-free length and nothing hides an
     # off-by-one in it
     assert oracle._fft_length(4 * N + 1) == 4 * N + 1
-    assert oracle.rhs_route(N)["rhs_route"] == "fft"
     rng = np.random.default_rng(N)
     a = CoeffSeq(N, rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1))
+    assert oracle.rhs_route(a)["rhs_route"] == "fft"
     for eq in ("modified_mkdv", "mkdv"):
         fft = oracle_rhs(a, eq, 0.37).values
         with monkeypatch.context() as m:

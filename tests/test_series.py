@@ -1,9 +1,11 @@
 """Series assembly: depth structure, certificates, residuals, gauge."""
 
+import functools
 import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from mkdv_series import (
     OracleConfig,
     SeriesConfig,
     l2_mass,
-    lipschitz_envelope,
     ode_residual,
     oracle_solve,
     oracle_solve_increment,
@@ -25,11 +26,13 @@ from mkdv_series import (
     weighted_norm,
 )
 from mkdv_series import ops
-from mkdv_series.ops import apply_tree_operator_reference, depth_term_tables, evaluate_term_table
+from mkdv_series.ops import depth_term_tables, evaluate_term_table
 from mkdv_series.spectral import gauge_shift, is_hermitian, random_real_field
 
 from exact_fold import exact_depth_sums, exact_values, table_keys
 from graded_oracle import graded_oracle
+from scalar_reference import apply_tree_operator_reference
+from wide_fold import WIDE, wide_depth_tables, wide_values
 
 
 def cosine_data(N=6, eps=0.1):
@@ -129,13 +132,31 @@ def test_each_depth_is_the_reference_summed_over_trees(monkeypatch):
 _RNG = np.random.default_rng(8)
 _REAL = random_real_field(3, NormIndex(0.5, 2.0), 1.0, _RNG)
 _DYADIC = CoeffSeq(3, (_RNG.integers(-8, 9, 7) + 1j * _RNG.integers(-8, 9, 7)) / 8)
-
-
-@pytest.mark.parametrize(
+_EXACT_CASES = pytest.mark.parametrize(
     "a0, K, project",
     [(_REAL, 4, True), (_REAL, 3, False), (_DYADIC, 4, True), (_DYADIC, 3, False)],
     ids=["real-K4-projected", "real-K3", "dyadic-K4-projected", "dyadic-K3"],
 )
+_WIDE_ONLY = pytest.mark.skipif(
+    not WIDE, reason="np.longdouble is no wider than double here (eps > 1e-18): the wide fold would be the double fold"
+)
+
+
+def exact_fold_at(a0, K, project, t):
+    """exact_fold's depth sums of a0 as table keys, and their values at t
+    in mpmath; computed once for the tests that hold a fold against it."""
+    return _exact_fold_at(a0.values.tobytes(), K, project, t)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_fold_at(values, K, project, t):
+    values = np.frombuffer(values, np.complex128)
+    N = values.size // 2
+    exact = exact_depth_sums(values.tolist(), N, K, project)
+    return [table_keys(rows, N) for rows in exact], [exact_values(rows, N, t) for rows in exact]
+
+
+@_EXACT_CASES
 def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
     # the float fold against the same recursion in Gaussian rationals
     # (exact_fold), in rows and in values: every exact row is a float row,
@@ -146,10 +167,9 @@ def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
     # running table within a product; with _BLOCK = 5 a left row's partner
     # run is longer than a block.  At each size some blocks cut across the
     # table pairs of a sum.
-    N, t = a0.cutoff, 0.3
-    exact = exact_depth_sums(a0.values.tolist(), N, K, project)
-    keys = [table_keys(rows, N) for rows in exact]
-    values = [np.array([complex(v) for v in exact_values(rows, N, t)]) for rows in exact]
+    t = 0.3
+    keys, exact = exact_fold_at(a0, K, project, t)
+    values = [np.array([complex(v) for v in depth]) for depth in exact]
     routes = [False]
     if is_hermitian(a0.values):
         routes.append(True)
@@ -168,6 +188,50 @@ def test_depths_match_the_exact_fold(monkeypatch, a0, K, project):
             assert scale > 0.0
             gap = np.max(np.abs(evaluate_term_table(g, [t])[0] - values[k]))
             assert gap <= 1e-14 * scale
+
+
+@_WIDE_ONLY
+@_EXACT_CASES
+def test_wide_fold_matches_the_exact_fold(a0, K, project):
+    # the long-double fold (wide_fold) against the exact one at t = 0.3,
+    # per depth, relative to the depth's largest value: measured <= 5.7e-19
+    # (the double fold: 3.7e-16 - 4.1e-15).  With its -(in/3) weight
+    # rounded to double the wide fold fails this
+    t = 0.3
+    _, exact = exact_fold_at(a0, K, project, t)
+    wide = wide_depth_tables(a0, K, project)
+    def mp(x):  # a long double as the exact number it is
+        p, q = x.as_integer_ratio()
+        return mpmath.mpf(p) / q
+
+    with mpmath.workdps(40):
+        for k in range(1, K + 1):
+            got = [mpmath.mpc(mp(v.real), mp(v.imag)) for v in wide_values(wide[k], t)]
+            gap = max(abs(g - e) for g, e in zip(got, exact[k]))
+            assert gap <= 1e-17 * max(abs(e) for e in exact[k])
+
+
+@_WIDE_ONLY
+@pytest.mark.parametrize(
+    "N, K, project, blocks, bound",
+    [(4, 8, True, (ops._BLOCK, 1 << 12), 2.5e-13), (5, 5, False, (ops._BLOCK, 1 << 18), 2.5e-14)],
+    ids=["N4-K8-projected", "N5-K5"],
+)
+def test_depths_within_round_off_of_the_wide_fold(monkeypatch, N, K, project, blocks, bound):
+    # the double fold against the long-double one at t = 0.3, per depth,
+    # relative to the depth's largest value, at two block sizes.  The worst
+    # readings, which the bounds allow twice over: N=4 K=8 P 8.9e-14 at the
+    # default block (1.3e-13 at _BLOCK = 64), N=5 K=5 U 5.6e-15 (1.3e-14
+    # at 64).  The mode-0 rows of R times -3 instead of -2 fail it
+    t = 0.3
+    a0 = random_real_field(N, NormIndex(0.5, 2.0), 1.0, np.random.default_rng(0))
+    wide = [wide_values(table, t) for table in wide_depth_tables(a0, K, project)]
+    for block in blocks:
+        monkeypatch.setattr(ops, "_BLOCK", block)
+        tables = depth_term_tables(a0, K, project)
+        for k in range(1, K + 1):
+            gap = np.max(np.abs(evaluate_term_table(tables[k], [t])[0] - wide[k]))
+            assert gap <= bound * np.max(np.abs(wide[k]))
 
 
 @pytest.mark.parametrize(
@@ -461,6 +525,14 @@ def test_gauged_increment_matches_plain_oracle():
     ref = oracle_solve_increment(a0, OracleConfig(N, t / steps, "mkdv", steps), t).values[-1]
     assert np.max(np.abs(inc - ref)) <= 5e-14 * np.max(np.abs(ref))
     assert np.max(np.abs((a0.values + inc) - sol.final.values)) < 1e-15
+
+
+def lipschitz_envelope(R, C, t):
+    """Series Lipschitz bound sum_k (2k+1) (Ct)^{k/2} R^{2k} on the ball of
+    radius R, in closed form 2q/(1-q)^2 + 1/(1-q) with q = sqrt(Ct) R^2 < 1."""
+    q = math.sqrt(C * t) * R * R
+    assert q < 1.0, "outside the contraction regime"
+    return 2.0 * q / (1.0 - q) ** 2 + 1.0 / (1.0 - q)
 
 
 def test_uniform_continuity_on_certified_ball():

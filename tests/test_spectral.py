@@ -150,6 +150,14 @@ def test_random_real_field_norm_exact():
     assert a.is_real_field()
 
 
+def test_cutoff_must_be_an_integer():
+    # 2 * 1.5 + 1 == 4 and 2 * True + 1 == 3: the shape check alone passes both
+    for cutoff in (1.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CoeffSeq(cutoff, np.ones(int(2 * cutoff + 1)))
+    assert CoeffSeq(np.int64(1), np.ones(3)).modes.tolist() == [-1, 0, 1]
+
+
 def test_bad_construction_rejected():
     with pytest.raises(ValueError):
         CoeffSeq(2, np.zeros(4, dtype=complex))
